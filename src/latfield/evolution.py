@@ -1,11 +1,13 @@
 """Real-time propagation.
 
-First-order product formula over the Hamiltonian's terms, grouped greedily
-into mutually commuting sets (term order inside a sweep is the builder's
-construction order, flattened group by group, so trajectories are
-reproducible bit for bit).  A dense eigendecomposition propagator serves as
-the exact reference; the error diagnostic is the l2 distance between the
-two paths.
+First-order product formula: the Hamiltonian's terms are grouped greedily
+into mutually commuting sets, and one sweep applies the exact exponential
+of each group, ``exp(-i dt H_g)``, in group order.  Within a group every
+factor commutes, so a group's exponential is built from its flip-mask
+parts (one phase vector for the diagonal part, one rotation per flip
+mask) and only the group order shapes the Trotter error.  A dense
+eigendecomposition propagator serves as the exact reference; the error
+diagnostic is the l2 distance between the two paths.
 
 Plans are immutable and shareable; one evolution mutates one state under a
 single-writer contract, and independent trajectories (e.g. points of a
@@ -14,6 +16,7 @@ parameter scan) parallelize at the task level with no shared mutable state.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -21,45 +24,15 @@ import numpy as np
 
 from .pauli import (
     DENSE_QUBIT_CAP,
+    CommutingExponential,
     DimensionError,
     InvariantViolation,
     PauliSum,
     PauliTerm,
     StateVector,
-    _masks,
     terms_commute,
     to_dense,
 )
-
-_COMPILE_CAP = 17
-"""Per-term index/sign arrays are cached only below this qubit count."""
-
-
-class _TermAction:
-    """Precompiled action of exp(-i theta P) for one unit Pauli string."""
-
-    __slots__ = ("diagonal", "signs", "src", "scale")
-
-    def __init__(self, letters: str, n_qubits: int):
-        xmask, zmask, ny = _masks(letters)
-        idx = np.arange(2**n_qubits, dtype=np.uint64)
-        self.diagonal = xmask == 0
-        self.scale = 1j**ny
-        if self.diagonal:
-            par = (np.bitwise_count(idx & np.uint64(zmask)) & 1).astype(np.float64)
-            self.signs = 1.0 - 2.0 * par
-            self.src = None
-        else:
-            src = idx ^ np.uint64(xmask)
-            par = (np.bitwise_count(src & np.uint64(zmask)) & 1).astype(np.float64)
-            self.signs = 1.0 - 2.0 * par
-            self.src = src
-
-    def exp_apply(self, amps: np.ndarray, cos_t: float, sin_t: float) -> np.ndarray:
-        if self.diagonal:
-            return amps * (cos_t - 1j * sin_t * self.signs)
-        pamp = (self.scale * self.signs) * amps[self.src]
-        return cos_t * amps - 1j * sin_t * pamp
 
 
 @dataclass(frozen=True)
@@ -110,28 +83,6 @@ def make_plan(h: PauliSum, total_time: float, steps: int) -> EvolutionPlan:
     return EvolutionPlan(h, float(total_time), int(steps), greedy_commuting_groups(terms), terms)
 
 
-def _ordered_terms(plan: EvolutionPlan, reverse: bool) -> list[PauliTerm]:
-    seq = [plan.terms[i] for group in plan.grouping for i in group]
-    return seq[::-1] if reverse else seq
-
-
-def _sweep_kernels(plan: EvolutionPlan, reverse: bool):
-    """(action-or-letters, cos, sin) triples for one sweep at dt = t / steps.
-
-    Above ``_COMPILE_CAP`` qubits the per-term index arrays are built on the
-    fly instead of being held for every term at once.
-    """
-    n = plan.hamiltonian.n_qubits
-    dt = plan.total_time / plan.steps
-    compile_actions = n <= _COMPILE_CAP
-    kernels = []
-    for term in _ordered_terms(plan, reverse):
-        theta = dt * term.coefficient
-        head = _TermAction(term.letters, n) if compile_actions else term.letters
-        kernels.append((head, np.cos(theta), np.sin(theta)))
-    return kernels
-
-
 def trotter_states(
     plan: EvolutionPlan, s0: StateVector, reverse: bool = False
 ) -> Iterator[StateVector]:
@@ -139,16 +90,17 @@ def trotter_states(
     if s0.n_qubits != plan.hamiltonian.n_qubits:
         raise DimensionError("state and Hamiltonian qubit counts differ")
     n = plan.hamiltonian.n_qubits
-    kernels = _sweep_kernels(plan, reverse)
-    # The identity component commutes with everything; its phase is exact.
     dt = plan.total_time / plan.steps
+    factors = []
+    for group in plan.grouping[::-1] if reverse else plan.grouping:
+        part = PauliSum(n, [(plan.terms[i].coefficient, plan.terms[i].letters) for i in group])
+        factors.append(CommutingExponential(part, dt))
+    # The identity component commutes with everything; its phase is exact.
     offset_phase = np.exp(-1j * complex(plan.hamiltonian.constant_offset).real * dt)
     amps = s0.amplitudes.copy()
     for _ in range(plan.steps):
-        for action, cos_t, sin_t in kernels:
-            if isinstance(action, str):
-                action = _TermAction(action, n)
-            amps = action.exp_apply(amps, cos_t, sin_t)
+        for factor in factors:
+            amps = factor.apply(amps)
         amps = offset_phase * amps
         yield StateVector(amps)
 
@@ -172,8 +124,9 @@ class SpectralDecomposition:
     """Eigendecomposition of a Hermitian PauliSum, cached for reuse across
     many evolution times on the same operator."""
 
-    _cache: dict[int, tuple[PauliSum, "SpectralDecomposition"]] = {}
-    _cache_limit = 4
+    _cache: "weakref.WeakKeyDictionary[PauliSum, SpectralDecomposition]" = (
+        weakref.WeakKeyDictionary()
+    )
 
     def __init__(self, h: PauliSum, cap: int = DENSE_QUBIT_CAP):
         dense = to_dense(h, cap)
@@ -183,14 +136,11 @@ class SpectralDecomposition:
 
     @classmethod
     def for_hamiltonian(cls, h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> "SpectralDecomposition":
-        key = id(h)
-        hit = cls._cache.get(key)
-        if hit is not None and hit[0] is h:
-            return hit[1]
-        decomp = cls(h, cap)
-        if len(cls._cache) >= cls._cache_limit:
-            cls._cache.pop(next(iter(cls._cache)))
-        cls._cache[key] = (h, decomp)
+        """The decomposition of ``h``, cached for as long as ``h`` lives."""
+        decomp = cls._cache.get(h)
+        if decomp is None:
+            decomp = cls(h, cap)
+            cls._cache[h] = decomp
         return decomp
 
     def evolve_amplitudes(self, t: float, amps: np.ndarray) -> np.ndarray:

@@ -18,6 +18,17 @@ in the coefficient, the ``i`` in the flag).  Hermitian operators are
 represented by :class:`PauliSum` objects whose stored coefficients are all
 real with ``imag`` unset.
 
+Every kernel reads one compiled form of a sum, its flip-mask groups.  A
+Pauli string maps basis state ``k`` to ``k ^ x`` (``x`` the mask of its X
+and Y letters) times a phase, so ``(H psi)[k] = sum_x d_x[k] psi[k ^ x]``
+with one complex diagonal ``d_x`` per distinct mask, in first-appearance
+order.  Each ``d_x`` accumulates its terms in storage order; a nonzero
+constant offset comes first, as the seed of ``d_0``, so every matrix
+element sums exactly as a term-by-term fill would.  ``apply_to``,
+``to_dense``, ``structure.sector_matrix`` and the commuting-group
+exponentials of the Trotter sweep and the VQE layers all read these
+diagonals, which a sum builds once, on first use, and keeps.
+
 Terms and sums are immutable after construction and safe to share across
 threads.  The kernels never mutate their input state; a caller that reuses
 amplitude buffers must follow a single-writer discipline.
@@ -232,47 +243,22 @@ def _masks(letters: str) -> tuple[int, int, int]:
     return xmask, zmask, ny
 
 
-def _parity_signs(n_qubits: int, mask: int) -> np.ndarray:
-    """(-1)^popcount(index & mask) for every basis index, as float array."""
-    idx = np.arange(2**n_qubits, dtype=np.uint64)
-    par = np.bitwise_count(idx & np.uint64(mask)) & 1
-    return 1.0 - 2.0 * par.astype(np.float64)
-
-
 def apply_term(p: PauliTerm, s: StateVector) -> StateVector:
     """Return ``p`` acting on ``s``; the norm scales by |p.coefficient|."""
     if p.n_qubits != s.n_qubits:
         raise DimensionError("term and state qubit counts differ")
-    xmask, zmask, ny = _masks(p.letters)
-    scale = p.value * 1j**ny
-    if xmask == 0:
-        out = scale * _parity_signs(s.n_qubits, zmask) * s.amplitudes
-        return StateVector(out)
-    src = np.arange(2**s.n_qubits, dtype=np.uint64) ^ np.uint64(xmask)
-    signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(zmask)) & 1).astype(np.float64)
-    out = scale * signs * s.amplitudes[src]
-    return StateVector(out)
+    unit = PauliSum(p.n_qubits, [(1.0, p.letters)])
+    return StateVector(p.value * unit.apply_to(s).amplitudes)
 
 
 def exp_term_apply(theta: float, p: PauliTerm, s: StateVector) -> StateVector:
-    """Apply ``exp(-i * theta * P)`` for a unit-coefficient Pauli string.
-
-    Uses the exact identity ``exp(-i t P) = cos(t) I - i sin(t) P`` valid
-    because every Pauli string squares to the identity.
-    """
+    """Apply ``exp(-i * theta * P)`` for a unit-coefficient Pauli string."""
     if p.imag or p.coefficient != 1.0:
         raise ValueError("exp_term_apply requires a unit-coefficient Hermitian term")
     if p.n_qubits != s.n_qubits:
         raise DimensionError("term and state qubit counts differ")
-    xmask, zmask, ny = _masks(p.letters)
-    if xmask == 0:
-        # Diagonal string: pure phases.
-        signs = _parity_signs(s.n_qubits, zmask)
-        phases = np.cos(theta) - 1j * np.sin(theta) * signs
-        return StateVector(phases * s.amplitudes)
-    ps = apply_term(p, s)
-    out = np.cos(theta) * s.amplitudes - 1j * np.sin(theta) * ps.amplitudes
-    return StateVector(out)
+    rotation = CommutingExponential(PauliSum(p.n_qubits, [(1.0, p.letters)]), theta)
+    return StateVector(rotation.apply(s.amplitudes))
 
 
 class PauliSum:
@@ -284,7 +270,15 @@ class PauliSum:
     of raising/lowering operators use ``hermitian=False`` internally.
     """
 
-    __slots__ = ("n_qubits", "constant_offset", "hermitian", "_strings", "_coeffs")
+    __slots__ = (
+        "n_qubits",
+        "constant_offset",
+        "hermitian",
+        "_strings",
+        "_coeffs",
+        "_flip_groups",
+        "__weakref__",
+    )
 
     def __init__(
         self,
@@ -328,6 +322,7 @@ class PauliSum:
         self.hermitian = hermitian
         self._strings = tuple(strings)
         self._coeffs = np.asarray(coeffs, dtype=complex)
+        self._flip_groups = None
 
     # -- views ---------------------------------------------------------
 
@@ -431,23 +426,81 @@ class PauliSum:
 
     # -- kernels -------------------------------------------------------
 
+    def flip_groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray | None], ...]:
+        """The compiled form: ``(x, d_x, source)`` per distinct flip mask ``x``.
+
+        ``(H psi)[k] = sum_x d_x[k] * psi[k ^ x]``; ``source`` is the index
+        array ``k ^ x``, or None for the diagonal mask 0.  Built once on
+        first use; the arrays are read-only.
+        """
+        if self._flip_groups is None:
+            idx = np.arange(2**self.n_qubits)
+            diagonals: dict[int, np.ndarray] = {}
+            if self.constant_offset != 0:
+                diagonals[0] = np.full(idx.size, complex(self.constant_offset))
+            for letters, coeff in zip(self._strings, self._coeffs):
+                xmask, zmask, ny = _masks(letters)
+                signs = 1.0 - 2.0 * (np.bitwise_count((idx ^ xmask) & zmask) & 1)
+                element = complex(coeff) * 1j**ny * signs
+                if xmask in diagonals:
+                    diagonals[xmask] += element
+                else:
+                    diagonals[xmask] = element
+            groups = []
+            for xmask, diagonal in diagonals.items():
+                source = idx ^ xmask if xmask else None
+                for array in (diagonal, source):
+                    if array is not None:
+                        array.flags.writeable = False
+                groups.append((xmask, diagonal, source))
+            self._flip_groups = tuple(groups)
+        return self._flip_groups
+
     def apply_to(self, s: StateVector) -> StateVector:
-        """Return ``H|s>`` accumulated term by term in storage order."""
+        """Return ``H|s>``, one multiply-add per flip mask."""
         if s.n_qubits != self.n_qubits:
             raise DimensionError("operator and state qubit counts differ")
-        out = self.constant_offset * s.amplitudes
-        idx = np.arange(2**self.n_qubits, dtype=np.uint64)
-        for letters, coeff in zip(self._strings, self._coeffs):
-            xmask, zmask, ny = _masks(letters)
-            scale = coeff * 1j**ny
-            if xmask == 0:
-                signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zmask)) & 1)
-                out += scale * signs * s.amplitudes
-            else:
-                src = idx ^ np.uint64(xmask)
-                signs = 1.0 - 2.0 * (np.bitwise_count(src & np.uint64(zmask)) & 1)
-                out += scale * signs * s.amplitudes[src]
+        amps = s.amplitudes
+        out = np.zeros_like(amps)
+        for _, diagonal, source in self.flip_groups():
+            out += diagonal * (amps if source is None else amps[source])
         return StateVector(out)
+
+
+class CommutingExponential:
+    """``exp(-i theta H)`` for a Hermitian sum ``H`` of pairwise commuting
+    Pauli strings, precomputed for one angle.
+
+    The flip-mask parts of ``H`` commute with each other, so the exponential
+    factorizes exactly over them.  The diagonal part is one phase vector.
+    An off-diagonal part ``H_x`` squares to ``diag(|d_x|^2)``, hence
+    ``exp(-i theta H_x) psi = cos(theta |d_x|) psi
+    - i (sin(theta |d_x|) / |d_x|) d_x psi[k ^ x]``.
+    """
+
+    __slots__ = ("_phases", "_rotations")
+
+    def __init__(self, h: PauliSum, theta: float):
+        if not h.hermitian:
+            raise InvariantViolation("exponentials require a Hermitian PauliSum")
+        self._phases = None
+        self._rotations = []
+        for _, diagonal, source in h.flip_groups():
+            if source is None:
+                self._phases = np.exp(-1j * theta * diagonal.real)
+                continue
+            magnitude = np.abs(diagonal)
+            # sin(theta r) / r written through sinc, which is theta at r = 0.
+            coupling = -1j * theta * np.sinc(theta * magnitude / np.pi) * diagonal
+            self._rotations.append((np.cos(theta * magnitude), coupling, source))
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        """The exponential applied to ``amps``; the input is not modified."""
+        if self._phases is not None:
+            amps = self._phases * amps
+        for cos, coupling, source in self._rotations:
+            amps = cos * amps + coupling * amps[source]
+        return amps
 
 
 def expectation(h: PauliSum, s: StateVector) -> float:
@@ -462,23 +515,17 @@ def expectation(h: PauliSum, s: StateVector) -> float:
 
 
 def to_dense(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the sum (test/oracle use only).
-
-    Every Pauli string is a signed permutation, so column ``k`` of a term
-    has its only entry at row ``k ^ xmask``; the matrix is filled one
-    fancy-indexed assignment per term.
-    """
+    """Dense 2^n x 2^n matrix of the sum (test/oracle use only), filled
+    with one flip-mask diagonal at a time: ``mat[k, k ^ x] = d_x[k]``."""
     if h.n_qubits > cap:
         raise ResourceLimitError(
             f"dense matrix for {h.n_qubits} qubits exceeds cap {cap}"
         )
     dim = 2**h.n_qubits
-    mat = complex(h.constant_offset) * np.eye(dim, dtype=complex)
-    idx = np.arange(dim, dtype=np.uint64)
-    for letters, coeff in h.items():
-        xmask, zmask, ny = _masks(letters)
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zmask)) & 1)
-        mat[idx ^ np.uint64(xmask), idx] += coeff * 1j**ny * signs
+    mat = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
+    for xmask, diagonal, _ in h.flip_groups():
+        mat[rows, rows ^ xmask] = diagonal
     return mat
 
 

@@ -29,6 +29,7 @@ from .models import basis_charge, parity
 from .pauli import (
     DENSE_QUBIT_CAP,
     DimensionError,
+    InvariantViolation,
     PauliSum,
     ResourceLimitError,
     StateVector,
@@ -107,27 +108,32 @@ def sector_indices(n_qubits: int, total_charge: int) -> np.ndarray:
 
 
 def sector_matrix(h: PauliSum, indices: np.ndarray) -> np.ndarray:
-    """Dense block P h P on the given (sorted) basis indices.
+    """Dense block P h P on the given (sorted) basis indices, read from the
+    flip-mask diagonals of ``h``.
 
-    Each Pauli string maps basis states one to one, so the block fills with
-    one scatter per term; matrix elements leaving the index set are dropped
-    (zero for any Hamiltonian that conserves the sector's quantum number).
+    Raises InvariantViolation if ``h`` maps an index of the set outside
+    it: an element counts when it exceeds 1e-12 of the largest element.
     """
-    from .pauli import _masks
-
-    indices = np.asarray(indices, dtype=np.uint64)
+    indices = np.asarray(indices, dtype=np.int64)
     dim = indices.size
+    # Compile before allocating the block: the compiled arrays of a
+    # short-lived ``h`` are then freed below the block, not above it, and a
+    # caller that builds one block per mass (the VQE scan) reuses the freed
+    # block's memory every time instead of only on some runs.
+    groups = h.flip_groups()
     block = np.zeros((dim, dim), dtype=complex)
-    block[np.arange(dim), np.arange(dim)] = complex(h.constant_offset)
     cols = np.arange(dim)
-    for letters, coeff in h.items():
-        xmask, zmask, ny = _masks(letters)
-        signs = 1.0 - 2.0 * (np.bitwise_count(indices & np.uint64(zmask)) & 1)
-        targets = indices ^ np.uint64(xmask)
-        pos = np.searchsorted(indices, targets)
-        pos_clipped = np.minimum(pos, dim - 1)
-        inside = indices[pos_clipped] == targets
-        block[pos_clipped[inside], cols[inside]] += coeff * 1j**ny * signs[inside]
+    largest = max((np.abs(d).max() for _, d, _ in groups), default=0.0)
+    for xmask, diagonal, _ in groups:
+        targets = indices ^ xmask
+        pos = np.minimum(np.searchsorted(indices, targets), dim - 1)
+        inside = indices[pos] == targets
+        leaked = np.abs(diagonal[targets[~inside]])
+        if leaked.max(initial=0.0) > 1e-12 * largest:
+            raise InvariantViolation(
+                f"flip mask {xmask:#b} maps sector states outside the index set"
+            )
+        block[pos[inside], cols[inside]] = diagonal[targets[inside]]
     return block
 
 

@@ -3,9 +3,9 @@
 Ansatz circuits are sequences of layers.  A generator layer evolves the
 state by ``exp(-i theta G)`` for a Hermitian generator ``G`` under one
 shared angle: when all of G's terms commute pairwise the exponential
-factorizes exactly into Pauli rotations, otherwise it is applied through
-the dense eigendecomposition (desk-scale only).  A local-Z layer carries
-one independent angle per qubit.
+factorizes exactly over G's flip-mask parts, otherwise it is applied
+through the dense eigendecomposition (desk-scale only).  A local-Z layer
+carries one independent angle per qubit.
 
 The optimizer is deterministic for a fixed seed: seeded multi-start,
 cyclic coordinate-wise golden-section refinement, then a Nelder-Mead
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .evolution import SpectralDecomposition
 from .models import (
@@ -35,12 +34,11 @@ from .models import (
     staggered_density_op,
 )
 from .pauli import (
+    CommutingExponential,
     DimensionError,
     InvariantViolation,
     PauliSum,
-    PauliTerm,
     StateVector,
-    exp_term_apply,
     expectation,
     terms_commute,
 )
@@ -95,15 +93,8 @@ class GeneratorLayer:
 
     def apply(self, theta: float, s: StateVector) -> StateVector:
         if self.exact_product:
-            amps = s
-            for term in self.generator.terms:
-                amps = exp_term_apply(
-                    theta * term.coefficient, PauliTerm(1.0, term.letters), amps
-                )
-            offset = float(self.generator.constant_offset)
-            if offset:
-                amps = StateVector(np.exp(-1j * theta * offset) * amps.amplitudes)
-            return amps
+            rotation = CommutingExponential(self.generator, theta)
+            return StateVector(rotation.apply(s.amplitudes))
         decomp = SpectralDecomposition.for_hamiltonian(self.generator)
         return decomp.evolve(theta, s)
 
@@ -326,6 +317,10 @@ def minimize(
     ``golden_cycles=0`` skips straight to the polish, the efficient setting
     for warm starts with many parameters.
     """
+    # Imported here: it is this module's only use of scipy.optimize, whose
+    # import takes about half a second.
+    import scipy.optimize
+
     start_point = np.atleast_1d(np.asarray(initial, dtype=float))
     n_params = start_point.size
     if budget < n_params + 1:

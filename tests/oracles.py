@@ -31,6 +31,17 @@ def dense_term(letters, value=1.0):
     return mat
 
 
+def apply_string(letters, amps):
+    """A Pauli string applied to amplitudes one single-qubit matrix at a time."""
+    n = len(letters)
+    out = np.asarray(amps, dtype=complex)
+    for j, letter in enumerate(letters):
+        # Axis 1 of this view is bit j of the basis index.
+        view = out.reshape(2 ** (n - j - 1), 2, 2**j)
+        out = np.einsum("ab,ibk->iak", SINGLE[letter], view).reshape(-1)
+    return out
+
+
 def dense_sum(pauli_sum):
     """Dense matrix of a PauliSum via the element-wise term builder."""
     dim = 2**pauli_sum.n_qubits

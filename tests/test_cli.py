@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import latfield
 from latfield.cli import main
 from latfield.pauli import deserialize
 
@@ -277,3 +281,19 @@ p_plus = 1.0
             ["schwinger-quench", "--config", str(tmp_path / "absent.ini"), "--out", str(tmp_path)]
         )
         assert code == 2
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        src = os.path.dirname(os.path.dirname(latfield.__file__))
+        code = "import sys, latfield.cli; print('scipy.optimize' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=60,
+        )
+        assert out.stdout.strip() == "False"

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -24,7 +27,7 @@ from latfield.pauli import (
     expectation,
 )
 
-from oracles import random_state
+from oracles import apply_string, random_state
 
 
 def diagonal_hamiltonian():
@@ -100,6 +103,27 @@ class TestTrotterEvolve:
         for state in trotter_states(plan, bare_vacuum(n)):
             assert abs(expectation(charge, state)) < 1e-8
 
+    def test_matches_per_term_product_at_8_sites(self):
+        # One exponential per commuting group equals the product of the
+        # group's single-term rotations, applied with an independent kernel.
+        rng = np.random.default_rng(11)
+        h = build_schwinger(SchwingerParams(8, 0.5, 1.0))
+        plan = make_plan(h, 1.1, 5)
+        s0 = StateVector(random_state(8, rng))
+        dt = plan.total_time / plan.steps
+        amps = s0.amplitudes
+        for _ in range(plan.steps):
+            for group in plan.grouping:
+                for i in group:
+                    term = plan.terms[i]
+                    theta = dt * term.coefficient
+                    amps = np.cos(theta) * amps - 1j * np.sin(theta) * apply_string(
+                        term.letters, amps
+                    )
+            amps = np.exp(-1j * dt * h.constant_offset) * amps
+        out = trotter_evolve(plan, s0)
+        np.testing.assert_allclose(out.amplitudes, amps, rtol=0, atol=1e-12)
+
     def test_convergence_toward_exact(self):
         h = build_schwinger(SchwingerParams(6, 0.5, 1.0))
         vac = bare_vacuum(6)
@@ -141,6 +165,13 @@ class TestExactEvolve:
         second = SpectralDecomposition.for_hamiltonian(h)
         assert first is second
 
+    def test_decomposition_cache_dies_with_hamiltonian(self):
+        h = build_schwinger(SchwingerParams(4, 0.7, 1.0))
+        entry = weakref.ref(SpectralDecomposition.for_hamiltonian(h))
+        del h
+        gc.collect()
+        assert entry() is None
+
 
 class TestTrotterError:
     def test_commuting_error_zero(self):
@@ -163,16 +194,3 @@ class TestTrotterError:
         g1 = greedy_commuting_groups(h.terms)
         g2 = greedy_commuting_groups(h.terms)
         assert g1 == g2
-
-    def test_uncompiled_path_matches_compiled(self, monkeypatch):
-        # Above the compile cap, per-term actions are rebuilt on the fly;
-        # the trajectory must be identical.
-        import latfield.evolution as evolution
-
-        h = build_schwinger(SchwingerParams(4, 0.5, 1.0))
-        vac = bare_vacuum(4)
-        plan = make_plan(h, 0.7, 9)
-        compiled = trotter_evolve(plan, vac)
-        monkeypatch.setattr(evolution, "_COMPILE_CAP", 0)
-        uncompiled = trotter_evolve(plan, vac)
-        np.testing.assert_array_equal(compiled.amplitudes, uncompiled.amplitudes)

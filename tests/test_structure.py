@@ -7,7 +7,13 @@ from latfield.models import (
     build_thirring,
     staggered_charge_op,
 )
-from latfield.pauli import PauliSum, StateVector, expectation, to_dense
+from latfield.pauli import (
+    InvariantViolation,
+    PauliSum,
+    StateVector,
+    expectation,
+    to_dense,
+)
 from latfield.structure import (
     BoundaryError,
     CorrelatorRequest,
@@ -55,6 +61,10 @@ class TestSectorPreparation:
         block = sector_matrix(h, idx)
         expected = dense_sum(h)[np.ix_(idx, idx)]
         np.testing.assert_allclose(block, expected, atol=1e-13)
+
+    def test_sector_matrix_rejects_leaking_operator(self):
+        with pytest.raises(InvariantViolation, match="0b1"):
+            sector_matrix(PauliSum(4, [(1.0, "XIII")]), sector_indices(4, 0))
 
     def test_neutral_ground_state_energy(self):
         h = build_thirring(MODEL6)
