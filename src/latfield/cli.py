@@ -2,7 +2,7 @@
 outputs, and a JSON manifest per run.
 
 Exit codes: 0 success, 2 configuration error, 3 dense-oracle resource cap
-exceeded, 4 internal invariant violation.
+exceeded or out of memory, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -167,57 +169,35 @@ def _write_vqe_trace(path: Path, config: RunConfig, result) -> None:
     write_csv(path, config, columns, rows)
 
 
+def _vqe_run(config: RunConfig, h: PauliSum, ansatz, starts: int = 1) -> dict:
+    budget = config.algorithm()["budget"]
+    initial = np.zeros(ansatz.parameter_count)
+    result = optimize(h, ansatz, initial, budget=budget, seed=config.seed, starts=starts)
+    path = config.out / "vqe_run.csv"
+    _write_vqe_trace(path, config, result)
+    return {
+        "files": [path],
+        "hamiltonian": h,
+        "summary": {
+            "energy": result.energy,
+            "variance": result.variance,
+            "evaluations": result.evaluations,
+            "converged": result.converged,
+            "stop_reason": result.stop_reason,
+        },
+    }
+
+
 def _run_schwinger_vqe(config: RunConfig) -> dict:
     model, algo = config.model(), config.algorithm()
     params = _schwinger_params(model)
-    h = build_schwinger(params)
     ansatz = hva_schwinger_ansatz(_resource_params(params.n_sites, algo), algo["layers"])
-    result = optimize(
-        h,
-        ansatz,
-        np.zeros(ansatz.parameter_count),
-        budget=algo["budget"],
-        seed=config.seed,
-        starts=algo["starts"],
-    )
-    path = config.out / "vqe_run.csv"
-    _write_vqe_trace(path, config, result)
-    return {
-        "files": [path],
-        "hamiltonian": h,
-        "summary": {
-            "energy": result.energy,
-            "variance": result.variance,
-            "evaluations": result.evaluations,
-            "converged": result.converged,
-        },
-    }
+    return _vqe_run(config, build_schwinger(params), ansatz, algo["starts"])
 
 
 def _run_deuteron_vqe(config: RunConfig) -> dict:
-    model, algo = config.model(), config.algorithm()
-    spec = DeuteronSpec(model["level_count"])
-    h = build_deuteron(spec)
-    ansatz = ucc_deuteron_ansatz(spec.level_count)
-    result = optimize(
-        h,
-        ansatz,
-        np.zeros(ansatz.parameter_count),
-        budget=algo["budget"],
-        seed=config.seed,
-    )
-    path = config.out / "vqe_run.csv"
-    _write_vqe_trace(path, config, result)
-    return {
-        "files": [path],
-        "hamiltonian": h,
-        "summary": {
-            "energy": result.energy,
-            "variance": result.variance,
-            "evaluations": result.evaluations,
-            "converged": result.converged,
-        },
-    }
+    spec = DeuteronSpec(config.model()["level_count"])
+    return _vqe_run(config, build_deuteron(spec), ucc_deuteron_ansatz(spec.level_count))
 
 
 def _scan_masses(algo: dict) -> list[float]:
@@ -232,24 +212,13 @@ def _scan_masses(algo: dict) -> list[float]:
 def _run_phase_scan(config: RunConfig) -> dict:
     model, algo = config.model(), config.algorithm()
     masses = _scan_masses(algo)
-    template = SchwingerParams(
-        n_sites=model["n_sites"],
-        mass=0.0,
-        coupling=model["coupling"],
-        spacing=model["spacing"],
-        boundary_field=model["boundary_field"],
-    )
+    template = _schwinger_params({**model, "mass": 0.0})
     summary: dict = {"method": algo["method"]}
     if algo["method"] == "dense":
         order_op = staggered_density_op(model["n_sites"])
 
         def solve(mass: float):
-            h = build_schwinger(
-                SchwingerParams(
-                    template.n_sites, mass, template.coupling, template.spacing,
-                    template.boundary_field,
-                )
-            )
+            h = build_schwinger(replace(template, mass=mass))
             ground = prepare_sector_state(h, SectorSpec(total_charge=0))
             return (mass, expectation(h, ground), 0.0, expectation(order_op, ground))
 
@@ -271,14 +240,11 @@ def _run_phase_scan(config: RunConfig) -> dict:
             budget=algo["budget"],
             seed=config.seed,
         )
-        rows = [
-            (r.mass, r.energy, r.variance, r.order_parameter) for r in records
-        ]
+        rows = [(r.mass, r.energy, r.variance, r.order_parameter) for r in records]
         summary["converged_points"] = sum(1 for r in records if r.converged)
+        summary["stop_reasons"] = dict(Counter(r.stop_reason for r in records))
         if records[0].dense_order_parameter is not None:
-            summary["dense_order_parameters"] = [
-                r.dense_order_parameter for r in records
-            ]
+            summary["dense_order_parameters"] = [r.dense_order_parameter for r in records]
     summary["steepest_change_mass"] = steepest_change(
         [row[0] for row in rows], [row[3] for row in rows]
     )
@@ -406,7 +372,7 @@ def _run_thermal(config: RunConfig) -> dict:
         "total_z": total_z(n),
         "energy": h1,
     }[algo["observable"]]
-    ts = bloch_propagate(h0, algo["beta"], algo["bloch_steps"])
+    ts = bloch_propagate(h0, algo["beta"])
     ensemble = decompose(ts, algo["threshold"])
     times = np.linspace(0.0, algo["t_max"], algo["t_steps"])
     rows = [
@@ -444,24 +410,12 @@ def _build_named_model(model: dict) -> PauliSum:
         if model.get(key) is None:
             raise ConfigError(f"missing required key '{key}' in section [model]")
     if kind == "schwinger":
-        return build_schwinger(
-            SchwingerParams(
-                model["n_sites"], model["mass"], model["coupling"],
-                model["spacing"], model["boundary_field"],
-            )
-        )
+        return build_schwinger(_schwinger_params(model))
     if kind == "thirring":
-        return build_thirring(
-            ThirringParams(model["n_sites"], model["mass"], model["coupling"])
-        )
+        return build_thirring(_thirring_params(model))
     if kind == "deuteron":
         return build_deuteron(DeuteronSpec(model["level_count"]))
-    return build_resource_xy(
-        ResourceParams(
-            model["n_sites"], model["j0"], model["alpha"], model["b_field"],
-            model["delta"],
-        )
-    )
+    return build_resource_xy(_resource_params(model["n_sites"], model))
 
 
 def _run_dump_hamiltonian(config: RunConfig) -> dict:
@@ -553,6 +507,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"resource limit: out of memory {exc}".rstrip(), file=sys.stderr)
         return EXIT_RESOURCE
     except InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)

@@ -136,7 +136,6 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         "model": _model_thirring(),
         "algorithm": {
             "beta": Field(float, required=True),
-            "bloch_steps": Field(int, default=8),
             "threshold": Field(float, default=0.0),
             "quench_mass": Field(float, required=True),
             "quench_coupling": Field(float, required=True),

@@ -29,9 +29,10 @@ from .pauli import (
     InvariantViolation,
     PauliSum,
     PauliTerm,
+    ResourceLimitError,
+    Sector,
     StateVector,
     terms_commute,
-    to_dense,
 )
 
 
@@ -121,44 +122,47 @@ def trotter_evolve(plan: EvolutionPlan, s0: StateVector, reverse: bool = False) 
 
 
 class SpectralDecomposition:
-    """Eigendecomposition of a Hermitian PauliSum, cached for reuse across
+    """Eigendecomposition of a Hermitian PauliSum on one sector (the full
+    space by default) that ``h`` maps into itself, cached for reuse across
     many evolution times on the same operator."""
 
-    _cache: "weakref.WeakKeyDictionary[PauliSum, SpectralDecomposition]" = (
-        weakref.WeakKeyDictionary()
-    )
+    # Per Hamiltonian, alive as long as it is: {sector: decomposition}.
+    _cache: "weakref.WeakKeyDictionary[PauliSum, dict]" = weakref.WeakKeyDictionary()
 
-    def __init__(self, h: PauliSum, cap: int = DENSE_QUBIT_CAP):
-        dense = to_dense(h, cap)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(dense)
+    def __init__(self, h: PauliSum, sector: Sector | None = None):
+        self.sector = sector or Sector(h.n_qubits)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.sector.matrix(h))
         self._adjoint = np.ascontiguousarray(self.eigenvectors.conj().T)
-        self.n_qubits = h.n_qubits
 
     @classmethod
-    def for_hamiltonian(cls, h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> "SpectralDecomposition":
-        """The decomposition of ``h``, cached for as long as ``h`` lives."""
-        decomp = cls._cache.get(h)
-        if decomp is None:
-            decomp = cls(h, cap)
-            cls._cache[h] = decomp
-        return decomp
+    def for_hamiltonian(
+        cls, h: PauliSum, cap: int = DENSE_QUBIT_CAP, sector: Sector | None = None
+    ) -> "SpectralDecomposition":
+        """The decomposition of ``h`` on ``sector``, cached for as long as
+        ``h`` lives."""
+        if h.n_qubits > cap:
+            raise ResourceLimitError(
+                f"eigendecomposition for {h.n_qubits} qubits exceeds cap {cap}"
+            )
+        sector = sector or Sector(h.n_qubits)
+        per_sector = cls._cache.setdefault(h, {})
+        if sector not in per_sector:
+            per_sector[sector] = cls(h, sector)
+        return per_sector[sector]
 
     def evolve_amplitudes(self, t: float, amps: np.ndarray) -> np.ndarray:
+        """exp(-i H t) on amplitudes in the sector's coordinates."""
         phases = np.exp(-1j * self.eigenvalues * t)
         return self.eigenvectors @ (phases * (self._adjoint @ amps))
 
     def evolve(self, t: float, s: StateVector) -> StateVector:
-        if s.n_qubits != self.n_qubits:
-            raise DimensionError("state size mismatch")
-        return StateVector(self.evolve_amplitudes(t, s.amplitudes))
+        return self.sector.embed(self.evolve_amplitudes(t, self.sector.restrict(s)))
 
 
 def exact_evolve(
     h: PauliSum, t: float, s0: StateVector, cap: int = DENSE_QUBIT_CAP
 ) -> StateVector:
     """exp(-i H t)|s0> through the dense eigendecomposition."""
-    if s0.n_qubits != h.n_qubits:
-        raise DimensionError("state and Hamiltonian qubit counts differ")
     return SpectralDecomposition.for_hamiltonian(h, cap).evolve(t, s0)
 
 

@@ -24,10 +24,11 @@ and Y letters) times a phase, so ``(H psi)[k] = sum_x d_x[k] psi[k ^ x]``
 with one complex diagonal ``d_x`` per distinct mask, in first-appearance
 order.  Each ``d_x`` accumulates its terms in storage order; a nonzero
 constant offset comes first, as the seed of ``d_0``, so every matrix
-element sums exactly as a term-by-term fill would.  ``apply_to``,
-``to_dense``, ``structure.sector_matrix`` and the commuting-group
-exponentials of the Trotter sweep and the VQE layers all read these
-diagonals, which a sum builds once, on first use, and keeps.
+element sums exactly as a term-by-term fill would.  A sum builds these
+diagonals once, on first use, and keeps them.  ``Sector.compile``
+restricts them to a basis (a charge sector, or the full space), and every
+kernel reads that form: one gather applies it, one scatter fills dense
+matrices from it, and the commuting-group exponentials rotate with it.
 
 Terms and sums are immutable after construction and safe to share across
 threads.  The kernels never mutate their input state; a caller that reuses
@@ -36,6 +37,7 @@ amplitude buffers must follow a single-writer discipline.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -206,9 +208,6 @@ class StateVector:
             raise ValueError(f"invalid bit string {bits!r}")
         index = sum(1 << j for j, b in enumerate(bits) if b == "1")
         return cls.basis_state(len(bits), index)
-
-    def bits_of(self, index: int) -> str:
-        return "".join("1" if index >> j & 1 else "0" for j in range(self.n_qubits))
 
     def copy(self) -> "StateVector":
         return StateVector(self.amplitudes.copy())
@@ -457,42 +456,186 @@ class PauliSum:
         return self._flip_groups
 
     def apply_to(self, s: StateVector) -> StateVector:
-        """Return ``H|s>``, one multiply-add per flip mask."""
+        """Return ``H|s>``: the gather kernel over the full space."""
         if s.n_qubits != self.n_qubits:
             raise DimensionError("operator and state qubit counts differ")
-        amps = s.amplitudes
-        out = np.zeros_like(amps)
-        for _, diagonal, source in self.flip_groups():
-            out += diagonal * (amps if source is None else amps[source])
+        return StateVector(_gather(self.flip_groups(), s.amplitudes))
+
+
+def _gather(form, amps: np.ndarray) -> np.ndarray:
+    """``sum_x d_x * amps[gather_x]`` over a compiled form (a None gather is
+    the diagonal part): the one kernel that applies an operator."""
+    out = np.zeros_like(amps)
+    for _, diagonal, gather in form:
+        out += diagonal * (amps if gather is None else amps[gather])
+    return out
+
+
+class Sector:
+    """The basis a computation runs on: sorted computational-basis indices,
+    or all ``2^n`` states for the full space, ``Sector(n)``.
+
+    ``of_charge`` gives the states of one total staggered charge,
+    ``n // 2 - popcount(k)`` (``models.basis_charge``), which every lattice
+    model here conserves.  Sector amplitudes are indexed by position in
+    ``indices``; sectors with the same basis compare equal.
+    """
+
+    __slots__ = ("n_qubits", "_indices", "_key")
+
+    # Restricted forms per Hamiltonian and sector, kept while ``h`` lives.
+    _forms: "weakref.WeakKeyDictionary[PauliSum, dict]" = weakref.WeakKeyDictionary()
+
+    def __init__(self, n_qubits: int, indices: np.ndarray | None = None):
+        self.n_qubits = n_qubits
+        self._indices = None if indices is None else np.asarray(indices, dtype=np.int64)
+        self._key = (n_qubits, None if indices is None else self._indices.tobytes())
+
+    @classmethod
+    def of_charge(cls, n_qubits: int, total_charge: int) -> "Sector":
+        weights = np.bitwise_count(np.arange(2**n_qubits))
+        return cls(n_qubits, np.flatnonzero(weights == n_qubits // 2 - total_charge))
+
+    @classmethod
+    def of_state(cls, s: StateVector) -> "Sector":
+        """The charge sector holding every nonzero amplitude of ``s``, or the
+        full space when they span several charges."""
+        weights = np.unique(np.bitwise_count(np.flatnonzero(s.amplitudes)))
+        if weights.size != 1:
+            return cls(s.n_qubits)
+        return cls.of_charge(s.n_qubits, s.n_qubits // 2 - int(weights[0]))
+
+    @property
+    def indices(self) -> np.ndarray:
+        return np.arange(2**self.n_qubits) if self._indices is None else self._indices
+
+    @property
+    def dim(self) -> int:
+        return 2**self.n_qubits if self._indices is None else self._indices.size
+
+    @property
+    def z_values(self) -> np.ndarray:
+        """``(dim, n)`` Z eigenvalues (+1 for a clear bit) of the basis states."""
+        return 1.0 - 2.0 * (self.indices[:, None] >> np.arange(self.n_qubits) & 1)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sector) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def embed(self, amps: np.ndarray) -> StateVector:
+        """The full statevector with these sector amplitudes."""
+        if self._indices is None:
+            return StateVector(amps)
+        out = np.zeros(2**self.n_qubits, dtype=complex)
+        out[self._indices] = amps
         return StateVector(out)
+
+    def restrict(self, s: StateVector) -> np.ndarray:
+        """The sector amplitudes of ``s``; raises InvariantViolation if ``s``
+        has a nonzero amplitude outside the sector."""
+        if s.n_qubits != self.n_qubits:
+            raise DimensionError("state and sector qubit counts differ")
+        amps = s.amplitudes if self._indices is None else s.amplitudes[self._indices]
+        if np.count_nonzero(amps) != np.count_nonzero(s.amplitudes):
+            raise InvariantViolation("state has amplitude outside the sector")
+        return amps
+
+    def compile(self, h: PauliSum):
+        """``h`` on the sector: ``(x, d, gather)`` per flip mask ``x``, with
+        ``(h psi)[i] = sum_x d[i] psi[gather[i]]`` on sector amplitudes.  The
+        full space hands back ``h.flip_groups()`` itself.
+
+        Raises InvariantViolation if ``h`` maps a sector state outside the
+        sector: an element counts when it exceeds 1e-12 of the largest one.
+        """
+        form, leak = self._form(h)
+        if leak is not None:
+            raise InvariantViolation(
+                f"flip mask {leak:#b} maps sector states outside the index set"
+            )
+        return form
+
+    def closed_under(self, h: PauliSum) -> bool:
+        """Whether ``h`` maps the sector into itself, by the test of ``compile``."""
+        return self._form(h)[1] is None
+
+    def apply(self, h: PauliSum, amps: np.ndarray) -> np.ndarray:
+        return _gather(self.compile(h), amps)
+
+    def matrix(self, h: PauliSum) -> np.ndarray:
+        """Dense matrix of ``h`` on the sector, filled one flip mask at a
+        time: ``mat[i, gather[i]] = d[i]``."""
+        # Compile before allocating: the compiled arrays of a short-lived
+        # ``h`` are then freed below the matrix, so repeated builds reuse
+        # the same memory on every run.
+        form = self.compile(h)
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        rows = np.arange(self.dim)
+        # A row a flip mask takes out of the sector gathers from itself with
+        # weight zero; the diagonal part is written last, over those zeros.
+        for _, diagonal, gather in sorted(form, key=lambda group: group[2] is None):
+            mat[rows, rows if gather is None else gather] = diagonal
+        return mat
+
+    def _form(self, h: PauliSum):
+        """(compiled form, first leaking flip mask or None)."""
+        if h.n_qubits != self.n_qubits:
+            raise DimensionError("operator and sector qubit counts differ")
+        if self._indices is None:
+            return h.flip_groups(), None
+        forms = self._forms.setdefault(h, {})
+        if self not in forms:
+            indices = self._indices
+            rows = np.arange(indices.size)
+            groups = h.flip_groups()
+            largest = max((np.abs(d).max() for _, d, _ in groups), default=0.0)
+            form, leak = [], None
+            for xmask, diagonal, source in groups:
+                if source is None:
+                    form.append((xmask, diagonal[indices], None))
+                    continue
+                targets = indices ^ xmask
+                pos = np.minimum(np.searchsorted(indices, targets), indices.size - 1)
+                inside = indices[pos] == targets
+                escaped = np.abs(diagonal[targets[~inside]])
+                if leak is None and escaped.max(initial=0.0) > 1e-12 * largest:
+                    leak = xmask
+                form.append(
+                    (xmask, np.where(inside, diagonal[indices], 0), np.where(inside, pos, rows))
+                )
+            forms[self] = (tuple(form), leak)
+        return forms[self]
 
 
 class CommutingExponential:
     """``exp(-i theta H)`` for a Hermitian sum ``H`` of pairwise commuting
-    Pauli strings, precomputed for one angle.
+    Pauli strings on a sector (the full space by default), precomputed for
+    one angle.
 
     The flip-mask parts of ``H`` commute with each other, so the exponential
     factorizes exactly over them.  The diagonal part is one phase vector.
     An off-diagonal part ``H_x`` squares to ``diag(|d_x|^2)``, hence
     ``exp(-i theta H_x) psi = cos(theta |d_x|) psi
-    - i (sin(theta |d_x|) / |d_x|) d_x psi[k ^ x]``.
+    - i (sin(theta |d_x|) / |d_x|) d_x psi[gather_x]``.
     """
 
     __slots__ = ("_phases", "_rotations")
 
-    def __init__(self, h: PauliSum, theta: float):
+    def __init__(self, h: PauliSum, theta: float, sector: Sector | None = None):
         if not h.hermitian:
             raise InvariantViolation("exponentials require a Hermitian PauliSum")
         self._phases = None
         self._rotations = []
-        for _, diagonal, source in h.flip_groups():
-            if source is None:
+        for _, diagonal, gather in (sector or Sector(h.n_qubits)).compile(h):
+            if gather is None:
                 self._phases = np.exp(-1j * theta * diagonal.real)
                 continue
             magnitude = np.abs(diagonal)
             # sin(theta r) / r written through sinc, which is theta at r = 0.
             coupling = -1j * theta * np.sinc(theta * magnitude / np.pi) * diagonal
-            self._rotations.append((np.cos(theta * magnitude), coupling, source))
+            self._rotations.append((np.cos(theta * magnitude), coupling, gather))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """The exponential applied to ``amps``; the input is not modified."""
@@ -515,18 +658,13 @@ def expectation(h: PauliSum, s: StateVector) -> float:
 
 
 def to_dense(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the sum (test/oracle use only), filled
-    with one flip-mask diagonal at a time: ``mat[k, k ^ x] = d_x[k]``."""
+    """Dense 2^n x 2^n matrix of the sum (test/oracle use only): the
+    full-space ``Sector.matrix``, ``mat[k, k ^ x] = d_x[k]``."""
     if h.n_qubits > cap:
         raise ResourceLimitError(
             f"dense matrix for {h.n_qubits} qubits exceeds cap {cap}"
         )
-    dim = 2**h.n_qubits
-    mat = np.zeros((dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    for xmask, diagonal, _ in h.flip_groups():
-        mat[rows, rows ^ xmask] = diagonal
-    return mat
+    return Sector(h.n_qubits).matrix(h)
 
 
 # -- serialization ------------------------------------------------------

@@ -2,10 +2,13 @@
 lattice momentum-fraction transform, and the current-current tensor.
 
 States are prepared by exact diagonalization restricted to a total-charge
-sector (the charge of every computational basis state is classical, so the
-restriction is exact); an adiabatic sweep from the large-mass limit is
+``Sector`` (the charge of every computational basis state is classical, so
+the restriction is exact); an adiabatic sweep from the large-mass limit is
 available as an independent cross-check.  Momentum is not projected on the
-open chain: a ``momentum_index`` is carried as a label only.
+open chain: a ``momentum_index`` is carried as a label only.  The
+correlators run in the state's charge sector when the Hamiltonian and
+every operator keep it (charge densities and currents do), and in the
+full space otherwise.
 
 The continuum bilinear of the momentum-fraction distribution has no unique
 staggered transcription; the correlator machinery is generic over caller
@@ -25,13 +28,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .evolution import SpectralDecomposition, make_plan, trotter_evolve
-from .models import basis_charge, parity
+from .models import parity
 from .pauli import (
     DENSE_QUBIT_CAP,
     DimensionError,
-    InvariantViolation,
     PauliSum,
     ResourceLimitError,
+    Sector,
     StateVector,
     letters_at,
 )
@@ -103,38 +106,17 @@ def _check_uniform(grid: np.ndarray, name: str) -> None:
 
 
 def sector_indices(n_qubits: int, total_charge: int) -> np.ndarray:
-    idx = [k for k in range(2**n_qubits) if basis_charge(k, n_qubits) == total_charge]
-    return np.asarray(idx, dtype=np.int64)
+    """Sorted basis indices of one total staggered charge."""
+    return Sector.of_charge(n_qubits, total_charge).indices
 
 
 def sector_matrix(h: PauliSum, indices: np.ndarray) -> np.ndarray:
-    """Dense block P h P on the given (sorted) basis indices, read from the
-    flip-mask diagonals of ``h``.
+    """Dense block P h P on the given (sorted) basis indices.
 
     Raises InvariantViolation if ``h`` maps an index of the set outside
     it: an element counts when it exceeds 1e-12 of the largest element.
     """
-    indices = np.asarray(indices, dtype=np.int64)
-    dim = indices.size
-    # Compile before allocating the block: the compiled arrays of a
-    # short-lived ``h`` are then freed below the block, not above it, and a
-    # caller that builds one block per mass (the VQE scan) reuses the freed
-    # block's memory every time instead of only on some runs.
-    groups = h.flip_groups()
-    block = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim)
-    largest = max((np.abs(d).max() for _, d, _ in groups), default=0.0)
-    for xmask, diagonal, _ in groups:
-        targets = indices ^ xmask
-        pos = np.minimum(np.searchsorted(indices, targets), dim - 1)
-        inside = indices[pos] == targets
-        leaked = np.abs(diagonal[targets[~inside]])
-        if leaked.max(initial=0.0) > 1e-12 * largest:
-            raise InvariantViolation(
-                f"flip mask {xmask:#b} maps sector states outside the index set"
-            )
-        block[pos[inside], cols[inside]] = diagonal[targets[inside]]
-    return block
+    return Sector(h.n_qubits, indices).matrix(h)
 
 
 def prepare_sector_state(
@@ -147,23 +129,18 @@ def prepare_sector_state(
     returned state is an eigenstate to dense-arithmetic accuracy.
     """
     if h.n_qubits > cap:
-        raise ResourceLimitError(
-            f"sector eigensolve for {h.n_qubits} qubits exceeds cap {cap}"
-        )
-    indices = sector_indices(h.n_qubits, sector.total_charge)
-    if indices.size == 0:
+        raise ResourceLimitError(f"sector eigensolve for {h.n_qubits} qubits exceeds cap {cap}")
+    basis = Sector.of_charge(h.n_qubits, sector.total_charge)
+    if basis.dim == 0:
         raise EmptySectorError(
             f"no basis state has total charge {sector.total_charge}"
         )
-    if sector.energy_rank >= indices.size:
+    if sector.energy_rank >= basis.dim:
         raise EmptySectorError(
-            f"energy rank {sector.energy_rank} exceeds sector dimension {indices.size}"
+            f"energy rank {sector.energy_rank} exceeds sector dimension {basis.dim}"
         )
-    block = sector_matrix(h, indices)
-    _, vecs = np.linalg.eigh(block)
-    amps = np.zeros(2**h.n_qubits, dtype=complex)
-    amps[indices] = vecs[:, sector.energy_rank]
-    return StateVector(amps)
+    decomp = SpectralDecomposition.for_hamiltonian(h, cap, basis)
+    return basis.embed(decomp.eigenvectors[:, sector.energy_rank])
 
 
 def adiabatic_sector_state(
@@ -273,23 +250,49 @@ def thirring_bond_current(n_sites: int, site: int) -> PauliSum:
 
 
 class _Propagator:
-    """Shared forward/backward propagation, exact under the dense cap and
-    Trotterized above it with a stated per-unit-time step count."""
+    """Propagation shared by the correlators, on amplitudes of one sector:
+    ``psi``'s charge sector when ``psi`` lies in it and ``h`` and every
+    operator map it into itself, the full space otherwise.  Exact under the
+    dense cap; above it, Trotterized in the full space with a stated
+    per-unit-time step count."""
 
-    def __init__(self, h: PauliSum, cap: int, trotter_steps_per_unit: int):
+    def __init__(self, h: PauliSum, psi: StateVector, ops, cap: int, trotter_steps_per_unit: int):
+        psi.check_normalized()
+        if any(op.n_qubits != h.n_qubits for op in ops):
+            raise DimensionError("operator and Hamiltonian qubit counts differ")
         self.h = h
         self.exact = h.n_qubits <= cap
         self.steps_per_unit = trotter_steps_per_unit
-        self._decomp = SpectralDecomposition.for_hamiltonian(h, cap) if self.exact else None
+        sector = Sector.of_state(psi) if self.exact else Sector(h.n_qubits)
+        if not all(sector.closed_under(op) for op in (h, *ops)):
+            sector = Sector(h.n_qubits)
+        self.sector = sector
+        self.psi = sector.restrict(psi)
+        self._decomp = (
+            SpectralDecomposition.for_hamiltonian(h, cap, sector) if self.exact else None
+        )
 
-    def advance(self, state: StateVector, t_from: float, t_to: float) -> StateVector:
+    def advance(self, amps: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
         if self.exact:
-            return self._decomp.evolve(t_to - t_from, state)
+            return self._decomp.evolve_amplitudes(t_to - t_from, amps)
         dt = t_to - t_from
         if dt == 0.0:
-            return state
+            return amps
         steps = max(1, int(np.ceil(abs(dt) * self.steps_per_unit)))
-        return trotter_evolve(make_plan(self.h, dt, steps), state)
+        return trotter_evolve(make_plan(self.h, dt, steps), StateVector(amps)).amplitudes
+
+    def table(self, bra: np.ndarray, ket: np.ndarray, times, ops) -> np.ndarray:
+        """<bra(t)| op |ket(t)>: one row per operator, one column per time,
+        each time evolved on from the one before (starting at 0)."""
+        out = np.empty((len(ops), len(times)), dtype=complex)
+        t_prev = 0.0
+        for col, t in enumerate(times):
+            bra = self.advance(bra, t_prev, t)
+            ket = self.advance(ket, t_prev, t)
+            t_prev = t
+            for row, op in enumerate(ops):
+                out[row, col] = np.vdot(bra, self.sector.apply(op, ket))
+        return out
 
 
 def two_point(
@@ -304,22 +307,11 @@ def two_point(
     ``A_y`` is ``op_a`` translated by ``y`` sites.  Rows are positions,
     columns times.
     """
-    psi.check_normalized()
     if req.op_a.n_qubits != h.n_qubits or req.op_b.n_qubits != h.n_qubits:
         raise DimensionError("operator and Hamiltonian qubit counts differ")
     translated = [translate(req.op_a, y) for y in req.positions]
-    prop = _Propagator(h, cap, trotter_steps_per_unit)
-    table = np.empty((len(req.positions), len(req.times)), dtype=complex)
-    bra = psi
-    ket = req.op_b.apply_to(psi)
-    t_prev = 0.0
-    for col, t in enumerate(req.times):
-        bra = prop.advance(bra, t_prev, t)
-        ket = prop.advance(ket, t_prev, t)
-        t_prev = t
-        for row, op in enumerate(translated):
-            table[row, col] = bra.inner(op.apply_to(ket))
-    return table
+    prop = _Propagator(h, psi, [req.op_b, *translated], cap, trotter_steps_per_unit)
+    return prop.table(prop.psi, prop.sector.apply(req.op_b, prop.psi), req.times, translated)
 
 
 def time_ordered_current_correlator(
@@ -334,29 +326,17 @@ def time_ordered_current_correlator(
 ) -> np.ndarray:
     """<psi| T{ J_a(y, t) J_b(0, 0) } |psi> with the convention
     T{A(t)B(0)} = A(t)B(0) for t >= 0 and B(0)A(t) for t < 0."""
-    psi.check_normalized()
-    prop = _Propagator(h, cap, trotter_steps_per_unit)
     ops = [current_a(int(y)) for y in positions]
     ref = current_b(0)
-    table = np.empty((len(ops), len(times)), dtype=complex)
-    bra, ket = psi, ref.apply_to(psi)
-    bra_neg, ket_neg = ref.adjoint().apply_to(psi), psi
-    t_prev_pos = t_prev_neg = 0.0
-    order = np.argsort(np.asarray(times))
-    for col in order:
-        t = float(times[col])
-        if t >= 0:
-            bra = prop.advance(bra, t_prev_pos, t)
-            ket = prop.advance(ket, t_prev_pos, t)
-            t_prev_pos = t
-            for row, op in enumerate(ops):
-                table[row, col] = bra.inner(op.apply_to(ket))
-        else:
-            bra_neg = prop.advance(bra_neg, t_prev_neg, t)
-            ket_neg = prop.advance(ket_neg, t_prev_neg, t)
-            t_prev_neg = t
-            for row, op in enumerate(ops):
-                table[row, col] = bra_neg.inner(op.apply_to(ket_neg))
+    ref_adjoint = ref.adjoint()
+    prop = _Propagator(h, psi, [ref, ref_adjoint, *ops], cap, trotter_steps_per_unit)
+    times = np.asarray(times, dtype=float)
+    order = np.argsort(times)
+    later, earlier = order[times[order] >= 0], order[times[order] < 0]
+    table = np.empty((len(ops), times.size), dtype=complex)
+    apply = prop.sector.apply
+    table[:, later] = prop.table(prop.psi, apply(ref, prop.psi), times[later], ops)
+    table[:, earlier] = prop.table(apply(ref_adjoint, prop.psi), prop.psi, times[earlier], ops)
     return table
 
 

@@ -1,9 +1,10 @@
 """Thermal-ensemble dynamics.
 
-The unnormalized Gibbs operator is generated by integrating the symmetric
-imaginary-time equation d rho/d beta = -(H rho + rho H)/2 with rho(0) = 1;
-the per-step update rho <- exp(-d H/2) rho exp(-d H/2) solves it exactly,
-so the step count only bounds how often the matrix exponential is reused.
+The unnormalized Gibbs operator solves the symmetric imaginary-time
+(Bloch) equation d rho/d beta = -(H rho + rho H)/2 with rho(0) = 1.  Its
+solution is exp(-beta H), formed in closed form from the cached
+eigendecomposition of H, V exp(-beta W) V^dag, and symmetrized against
+rounding.
 
 For observables the operator is decomposed into weighted ket/bra basis
 pairs.  Each pair is evaluated the way a quantum processor would: kets are
@@ -26,7 +27,6 @@ from .pauli import (
     DimensionError,
     InvariantViolation,
     PauliSum,
-    ResourceLimitError,
     StateVector,
 )
 
@@ -71,22 +71,14 @@ class PureStateEnsemble:
         return rho
 
 
-def bloch_propagate(
-    h0: PauliSum, beta: float, steps: int, cap: int = DENSE_QUBIT_CAP
-) -> ThermalState:
-    """Integrate the symmetric imaginary-time equation down to ``beta``."""
+def bloch_propagate(h0: PauliSum, beta: float, cap: int = DENSE_QUBIT_CAP) -> ThermalState:
+    """The Gibbs operator exp(-beta H0), the solution of the symmetric
+    imaginary-time equation at ``beta``."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if h0.n_qubits > cap:
-        raise ResourceLimitError(f"Bloch propagation above the dense cap {cap}")
     decomp = SpectralDecomposition.for_hamiltonian(h0, cap)
     v = decomp.eigenvectors
-    half = (v * np.exp(-0.5 * (beta / steps) * decomp.eigenvalues)) @ v.conj().T
-    rho = np.eye(2**h0.n_qubits, dtype=complex)
-    for _ in range(steps):
-        rho = half @ rho @ half
+    rho = (v * np.exp(-beta * decomp.eigenvalues)) @ v.conj().T
     rho = (rho + rho.conj().T) / 2.0
     return ThermalState(rho=rho, beta=float(beta), h0=h0, trace=float(np.trace(rho).real))
 

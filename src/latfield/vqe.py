@@ -1,16 +1,19 @@
 """Variational ground-state search with energy-variance self-verification.
 
-Ansatz circuits are sequences of layers.  A generator layer evolves the
-state by ``exp(-i theta G)`` for a Hermitian generator ``G`` under one
-shared angle: when all of G's terms commute pairwise the exponential
-factorizes exactly over G's flip-mask parts, otherwise it is applied
-through the dense eigendecomposition (desk-scale only).  A local-Z layer
-carries one independent angle per qubit.
+Ansatz circuits are sequences of layers acting on the amplitudes of the
+``Sector`` the ansatz runs in (the full space by default).  A generator
+layer evolves the state by ``exp(-i theta G)`` under one shared angle:
+exactly over G's flip-mask parts when its terms commute pairwise, else
+through G's eigendecomposition on the sector (desk-scale only).  A
+local-Z layer carries one angle per qubit.  The Schwinger ansatz keeps the
+bare vacuum's zero charge, so it runs in that sector, of dimension
+C(N, N/2) instead of 2^N; the phase scan is that ansatz plus the objective.
 
 The optimizer is deterministic for a fixed seed: seeded multi-start,
 cyclic coordinate-wise golden-section refinement, then a Nelder-Mead
 polish.  Every objective call evaluates energy and variance together
-(the variance is free once H|psi> is in hand).
+(the variance is free once H|psi> is in hand), and every optimization
+reports why it stopped.
 
 Objective evaluations at distinct parameter points are independent;
 optimizer state updates and all reductions run in fixed order, so results
@@ -19,18 +22,19 @@ reproduce exactly for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import SpectralDecomposition
+from .evolution import SpectralDecomposition, greedy_commuting_groups
 from .models import (
     ResourceParams,
     SchwingerParams,
     bare_vacuum,
     build_resource_xy,
     build_schwinger,
+    parity,
     staggered_density_op,
 )
 from .pauli import (
@@ -38,9 +42,9 @@ from .pauli import (
     DimensionError,
     InvariantViolation,
     PauliSum,
+    Sector,
     StateVector,
     expectation,
-    terms_commute,
 )
 
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -79,24 +83,18 @@ class GeneratorLayer:
     def __post_init__(self) -> None:
         if not self.generator.hermitian:
             raise InvariantViolation("layer generators must be Hermitian")
-        terms = self.generator.terms
-        commuting = all(
-            terms_commute(terms[a], terms[b])
-            for a in range(len(terms))
-            for b in range(a + 1, len(terms))
-        )
-        object.__setattr__(self, "exact_product", commuting)
+        groups = greedy_commuting_groups(self.generator.terms)
+        object.__setattr__(self, "exact_product", len(groups) <= 1)
 
     @property
     def arity(self) -> int:
         return 1
 
-    def apply(self, theta: float, s: StateVector) -> StateVector:
+    def apply(self, theta: float, amps: np.ndarray, sector: Sector) -> np.ndarray:
         if self.exact_product:
-            rotation = CommutingExponential(self.generator, theta)
-            return StateVector(rotation.apply(s.amplitudes))
-        decomp = SpectralDecomposition.for_hamiltonian(self.generator)
-        return decomp.evolve(theta, s)
+            return CommutingExponential(self.generator, theta, sector).apply(amps)
+        decomp = SpectralDecomposition.for_hamiltonian(self.generator, sector=sector)
+        return decomp.evolve_amplitudes(theta, amps)
 
 
 @dataclass(frozen=True)
@@ -110,21 +108,23 @@ class LocalZLayer:
     def arity(self) -> int:
         return self.n_qubits
 
-    def apply(self, thetas: np.ndarray, s: StateVector) -> StateVector:
-        idx = np.arange(2**self.n_qubits, dtype=np.uint64)
-        phase_exponent = np.zeros(2**self.n_qubits)
-        for q in range(self.n_qubits):
-            z = 1.0 - 2.0 * (idx >> np.uint64(q) & np.uint64(1)).astype(np.float64)
-            phase_exponent += thetas[q] * self.half_delta * z
-        return StateVector(np.exp(-1j * phase_exponent) * s.amplitudes)
+    def apply(self, thetas: np.ndarray, amps: np.ndarray, sector: Sector) -> np.ndarray:
+        return np.exp(-1j * self.half_delta * (sector.z_values @ thetas)) * amps
 
 
 @dataclass(frozen=True)
 class Ansatz:
-    """Layered parameterized circuit plus its initial state."""
+    """Layered parameterized circuit plus its initial state, run in one
+    sector (the full space unless given)."""
 
     layers: tuple
     initial_state: StateVector
+    sector: Sector | None = None
+
+    def __post_init__(self) -> None:
+        if self.sector is None:
+            object.__setattr__(self, "sector", Sector(self.initial_state.n_qubits))
+        self.sector.restrict(self.initial_state)  # raises if the state leaves it
 
     @property
     def n_qubits(self) -> int:
@@ -134,19 +134,23 @@ class Ansatz:
     def parameter_count(self) -> int:
         return sum(layer.arity for layer in self.layers)
 
-    def prepare(self, point: "ParamPoint | Sequence[float]") -> StateVector:
+    def amplitudes(self, point: "ParamPoint | Sequence[float]") -> np.ndarray:
+        """The prepared state as amplitudes in the ansatz's sector."""
         values = ParamPoint.coerce(point).as_array()
         if values.size != self.parameter_count:
             raise DimensionError(
                 f"ansatz takes {self.parameter_count} parameters, got {values.size}"
             )
-        state = self.initial_state
+        amps = self.sector.restrict(self.initial_state)
         cursor = 0
         for layer in self.layers:
             chunk = values[cursor : cursor + layer.arity]
             cursor += layer.arity
-            state = layer.apply(chunk if layer.arity > 1 else float(chunk[0]), state)
-        return state
+            amps = layer.apply(chunk if layer.arity > 1 else float(chunk[0]), amps, self.sector)
+        return amps
+
+    def prepare(self, point: "ParamPoint | Sequence[float]") -> StateVector:
+        return self.sector.embed(self.amplitudes(point))
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,7 @@ class VqeResult:
     evaluations: int
     trace: tuple[tuple[float, float, tuple[float, ...]], ...]
     converged: bool
+    stop_reason: str
 
 
 # -- ansatz constructors -------------------------------------------------
@@ -199,17 +204,14 @@ def hva_schwinger_ansatz(params: ResourceParams, n_layers: int) -> Ansatz:
     """Alternating layers: odd layers evolve the power-law XY resource
     Hamiltonian under one shared angle, even layers rotate every qubit
     independently about Z.  Starts from the bare vacuum, so the state stays
-    in the zero-charge sector for any parameters."""
+    in the zero-charge sector for any parameters, and the ansatz runs
+    there."""
     if n_layers < 1:
         raise ValueError("n_layers must be >= 1")
     xy = GeneratorLayer(build_resource_xy(params))
-    layers = []
-    for k in range(n_layers):
-        if k % 2 == 0:
-            layers.append(xy)
-        else:
-            layers.append(LocalZLayer(params.n_sites, params.delta / 2.0))
-    return Ansatz(tuple(layers), bare_vacuum(params.n_sites))
+    z = LocalZLayer(params.n_sites, params.delta / 2.0)
+    layers = tuple(xy if k % 2 == 0 else z for k in range(n_layers))
+    return Ansatz(layers, bare_vacuum(params.n_sites), Sector.of_charge(params.n_sites, 0))
 
 
 # -- objective -----------------------------------------------------------
@@ -218,19 +220,20 @@ def hva_schwinger_ansatz(params: ResourceParams, n_layers: int) -> Ansatz:
 def energy_and_variance(
     h: PauliSum, ansatz: Ansatz, point: "ParamPoint | Sequence[float]"
 ) -> tuple[float, float]:
-    """(<H>, <H^2> - <H>^2) on the prepared state.
+    """(<H>, <H^2> - <H>^2) on the prepared state, in the ansatz's sector
+    (``H`` must map it into itself).
 
     <H^2> comes from applying H once and taking the norm of H|psi>; the
     operator is never squared symbolically.
     """
-    state = ansatz.prepare(point)
-    if h.n_qubits != state.n_qubits:
+    if h.n_qubits != ansatz.n_qubits:
         raise DimensionError("Hamiltonian and ansatz qubit counts differ")
-    hs = h.apply_to(state)
-    energy = state.inner(hs)
+    amps = ansatz.amplitudes(point)
+    hs = ansatz.sector.apply(h, amps)
+    energy = complex(np.vdot(amps, hs))
     if abs(energy.imag) > 1e-9 * max(1.0, abs(energy.real)):
         raise InvariantViolation("energy has an imaginary residue")
-    second_moment = hs.inner(hs).real
+    second_moment = np.vdot(hs, hs).real
     return energy.real, second_moment - energy.real**2
 
 
@@ -261,10 +264,15 @@ class _CountingObjective:
 
 @dataclass(frozen=True)
 class MinimizeOutcome:
+    """``stop_reason`` is "tolerance" (a golden-section cycle or a polish met
+    its tolerance; ``converged``), "budget" (too little budget remained) or
+    "stalled" (a polish stopped improving)."""
+
     point: np.ndarray
     value: float
     evaluations: int
     converged: bool
+    stop_reason: str
 
 
 def _golden_line_search(
@@ -327,7 +335,7 @@ def minimize(
         raise ValueError("budget must be at least parameter_count + 1")
     rng = np.random.default_rng(seed)
     objective = _CountingObjective(func, budget)
-    converged = False
+    stop_reason = None
     try:
         objective(start_point)
         for _ in range(max(0, starts - 1)):
@@ -343,7 +351,7 @@ def minimize(
                 )
             width = max(width * 0.5, 1e-3)
             if abs(cycle_start - current_value) < cycle_tolerance:
-                converged = True
+                stop_reason = "tolerance"
                 break
         # Nelder-Mead polish, restarted with a fresh simplex while budget
         # remains and progress continues.
@@ -361,17 +369,22 @@ def minimize(
                     "initial_simplex": _initial_simplex(objective.best_point, step),
                 },
             )
-            converged = converged or bool(result.success)
+            if result.success:
+                stop_reason = "tolerance"
             step *= 0.5
             if before - objective.best_value < cycle_tolerance:
                 break
+        if stop_reason is None:
+            remaining = objective.budget - objective.count
+            stop_reason = "budget" if remaining <= 2 * n_params else "stalled"
     except _BudgetExhausted:
-        converged = False
+        stop_reason = "budget"
     return MinimizeOutcome(
         point=objective.best_point,
         value=objective.best_value,
         evaluations=objective.count,
-        converged=converged,
+        converged=stop_reason == "tolerance",
+        stop_reason=stop_reason,
     )
 
 
@@ -388,7 +401,7 @@ def optimize(
     """Derivative-free energy minimization within an evaluation budget.
 
     The best-seen point is never worse than the initial one; exhausting the
-    budget is reported through ``converged``, not raised.
+    budget is reported through ``stop_reason``, not raised.
     """
     trace: list[tuple[float, float, tuple[float, ...]]] = []
     best = {"energy": np.inf, "variance": np.inf}
@@ -417,6 +430,7 @@ def optimize(
         evaluations=outcome.evaluations,
         trace=tuple(trace),
         converged=outcome.converged,
+        stop_reason=outcome.stop_reason,
     )
 
 
@@ -439,72 +453,7 @@ class ScanRecord:
     order_parameter: float
     dense_order_parameter: float | None
     converged: bool
-
-
-class _SectorScanEngine:
-    """Zero-charge-sector projection of the alternating ansatz and scan
-    observables.
-
-    The ansatz provably conserves total charge and starts from the bare
-    vacuum, so every prepared state lives in the neutral block; working in
-    its coordinates (dimension C(N, N/2) instead of 2^N) makes the scan
-    tractable at twelve sites.  The projection is exact, not approximate,
-    and is cross-checked against the full-space path in the test suite.
-    """
-
-    def __init__(self, resource: ResourceParams, n_layers: int):
-        from .structure import sector_indices, sector_matrix
-
-        n = resource.n_sites
-        self.n_sites = n
-        self.indices = sector_indices(n, 0)
-        self.dim = self.indices.size
-        self._sector_matrix = sector_matrix
-        xy_block = sector_matrix(build_resource_xy(resource), self.indices)
-        self.xy_w, self.xy_v = np.linalg.eigh(xy_block)
-        self.xy_vh = np.ascontiguousarray(self.xy_v.conj().T)
-        bits = self.indices[:, None] >> np.arange(n)[None, :] & 1
-        self.z_values = 1.0 - 2.0 * bits.astype(float)  # (dim, n)
-        self.half_delta = resource.delta / 2.0
-        self.layer_is_global = [k % 2 == 0 for k in range(n_layers)]
-        self.parameter_count = sum(1 if g else n for g in self.layer_is_global)
-        vacuum_index = int(
-            np.argmax(np.abs(bare_vacuum(n).amplitudes[self.indices]))
-        )
-        self.initial = np.zeros(self.dim, dtype=complex)
-        self.initial[vacuum_index] = 1.0
-        # Staggered density diagonal: (1/N) sum_j (-1)^j z_j, 1-based parity.
-        parities = np.array([(-1.0) ** (q + 1) for q in range(n)])
-        self.density_diag = self.z_values @ parities / n
-
-    def hamiltonian_block(self, h: PauliSum) -> np.ndarray:
-        return self._sector_matrix(h, self.indices)
-
-    def prepare(self, values: np.ndarray) -> np.ndarray:
-        state = self.initial
-        cursor = 0
-        for is_global in self.layer_is_global:
-            if is_global:
-                theta = values[cursor]
-                cursor += 1
-                state = self.xy_v @ (
-                    np.exp(-1j * self.xy_w * theta) * (self.xy_vh @ state)
-                )
-            else:
-                thetas = values[cursor : cursor + self.n_sites]
-                cursor += self.n_sites
-                state = np.exp(-1j * self.half_delta * (self.z_values @ thetas)) * state
-        return state
-
-    def energy_and_variance(self, block: np.ndarray, values: np.ndarray) -> tuple[float, float]:
-        state = self.prepare(values)
-        hs = block @ state
-        energy = np.vdot(state, hs).real
-        return energy, float(np.vdot(hs, hs).real - energy**2)
-
-    def order_parameter(self, values: np.ndarray) -> float:
-        state = self.prepare(values)
-        return float(self.density_diag @ np.abs(state) ** 2)
+    stop_reason: str
 
 
 def phase_scan(
@@ -538,34 +487,19 @@ def phase_scan(
     n = template.n_sites
     if dense_cross is None:
         dense_cross = n <= 10
-    engine = _SectorScanEngine(resource, n_layers)
-    blocks = {
-        mass: engine.hamiltonian_block(
-            build_schwinger(
-                SchwingerParams(
-                    n, mass, template.coupling, template.spacing, template.boundary_field
-                )
-            )
-        )
-        for mass in masses
-    }
+    ansatz = hva_schwinger_ansatz(resource, n_layers)
+    # Staggered density (1/N) sum_j (-1)^j Z_j on the sector's basis states.
+    density = ansatz.sector.z_values @ np.array([parity(j) for j in range(1, n + 1)]) / n
+
+    def hamiltonian(mass: float) -> PauliSum:
+        return build_schwinger(replace(template, mass=mass))
 
     def run_point(mass: float, warm: np.ndarray, seed_k: int, cold: bool):
-        block = (
-            blocks[mass]
-            if mass in blocks
-            else engine.hamiltonian_block(
-                build_schwinger(
-                    SchwingerParams(
-                        n, mass, template.coupling, template.spacing, template.boundary_field
-                    )
-                )
-            )
-        )
+        h = hamiltonian(mass)
         best = {"variance": np.inf, "energy": np.inf}
 
         def objective(values: np.ndarray) -> float:
-            energy, variance = engine.energy_and_variance(block, values)
+            energy, variance = energy_and_variance(h, ansatz, values)
             if energy < best["energy"]:
                 best["energy"] = energy
                 best["variance"] = variance
@@ -584,11 +518,11 @@ def phase_scan(
     # Descending pass with burn-in annealing from above the scan window.
     burn_in = [masses[-1] + burn_in_step * k for k in range(burn_in_points, 0, -1)]
     found: dict[float, tuple] = {}
-    warm = np.zeros(engine.parameter_count)
+    warm = np.zeros(ansatz.parameter_count)
     for k, mass in enumerate(burn_in + list(reversed(masses))):
         outcome, variance = run_point(mass, warm, seed + k, cold=(k == 0))
         warm = outcome.point
-        if mass in blocks:
+        if k >= len(burn_in):
             found[mass] = (outcome, variance)
     # Ascending refinement pass: re-solve each point warm-started from its
     # lower neighbor and keep the better energy; this symmetrizes branch
@@ -606,23 +540,17 @@ def phase_scan(
         if dense_cross:
             from .structure import SectorSpec, prepare_sector_state
 
-            ground = prepare_sector_state(
-                build_schwinger(
-                    SchwingerParams(
-                        n, mass, template.coupling, template.spacing, template.boundary_field
-                    )
-                ),
-                SectorSpec(total_charge=0),
-            )
+            ground = prepare_sector_state(hamiltonian(mass), SectorSpec(total_charge=0))
             dense_value = expectation(staggered_density_op(n), ground)
         records.append(
             ScanRecord(
                 mass=mass,
                 energy=outcome.value,
                 variance=variance,
-                order_parameter=engine.order_parameter(outcome.point),
+                order_parameter=float(density @ np.abs(ansatz.amplitudes(outcome.point)) ** 2),
                 dense_order_parameter=dense_value,
                 converged=outcome.converged,
+                stop_reason=outcome.stop_reason,
             )
         )
     return records

@@ -6,6 +6,7 @@ decompositions, and fermion operators directly from Fock-space rules.
 """
 
 import numpy as np
+import scipy.linalg
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -49,6 +50,15 @@ def dense_sum(pauli_sum):
     for letters, coeff in pauli_sum.items():
         mat += dense_term(letters, coeff)
     return mat
+
+
+def dense_exponential_product(generators, angles, amps):
+    """``expm(-i angle_k G_k)`` applied to ``amps`` for each PauliSum ``G_k``
+    in turn, from the element-wise dense matrices."""
+    out = np.asarray(amps, dtype=complex)
+    for generator, angle in zip(generators, angles):
+        out = scipy.linalg.expm(-1j * angle * dense_sum(generator)) @ out
+    return out
 
 
 def fock_annihilation(j, n):

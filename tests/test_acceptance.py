@@ -334,7 +334,7 @@ def test_criterion_9_thermal_pipeline():
     h1 = build_thirring(ThirringParams(n, 0.2, 1.2))
     obs = staggered_density_op(n)
     beta = 0.8
-    ts = bloch_propagate(h0, beta, steps=4)
+    ts = bloch_propagate(h0, beta)
     eigenvalues = np.linalg.eigvalsh(dense_sum(h0))
     partition_dev = abs(ts.trace - np.sum(np.exp(-beta * eigenvalues)))
     ensemble = decompose(ts, threshold=0.0)

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import latfield
+from latfield import cli
 from latfield.cli import main
 from latfield.pauli import deserialize
 
@@ -128,6 +129,14 @@ class TestVqeRuns:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["summary"]["energy"] == pytest.approx(min(energies))
 
+    def test_manifest_records_stop_reason(self, tmp_path):
+        ini = DEUTERON_INI.replace("budget = 300", "budget = 5")
+        code, out = run_cli("deuteron-vqe", ini, tmp_path, "deut5")
+        assert code == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        assert summary["stop_reason"] == "budget"
+        assert summary["converged"] is False
+
     def test_schwinger_vqe_runs(self, tmp_path):
         ini = """
 [model]
@@ -147,6 +156,29 @@ budget = 120
 
 
 class TestPhaseScanCli:
+    def test_vqe_manifest_counts_stop_reasons(self, tmp_path):
+        ini = """
+[model]
+n_sites = 4
+coupling = 2.0
+spacing = 0.5
+
+[algorithm]
+mass_min = -0.5
+mass_max = 0.5
+mass_step = 0.5
+method = vqe
+layers = 2
+budget = 40
+"""
+        code, out = run_cli("phase-scan", ini, tmp_path, "reasons")
+        assert code == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        reasons = summary["stop_reasons"]
+        assert set(reasons) <= {"tolerance", "budget", "stalled"}
+        assert sum(reasons.values()) == 3
+        assert reasons.get("tolerance", 0) == summary["converged_points"]
+
     def test_dense_method_columns(self, tmp_path):
         ini = """
 [model]
@@ -275,6 +307,15 @@ p_plus = 1.0
 """
         code, _ = run_cli("thirring-correlator", ini, tmp_path, "cap")
         assert code == 3
+
+    def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._RUNNERS, "schwinger-quench", exhausted)
+        code, _ = run_cli("schwinger-quench", QUENCH_INI, tmp_path, "oom")
+        assert code == 3
+        assert "out of memory" in capsys.readouterr().err
 
     def test_unreadable_config(self, tmp_path):
         code = main(

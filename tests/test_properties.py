@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from latfield.evolution import make_plan, trotter_evolve
 from latfield.models import basis_charge
-from latfield.pauli import PauliSum, StateVector, to_dense
+from latfield.pauli import PauliSum, Sector, StateVector, to_dense
 from latfield.structure import sector_indices, sector_matrix
 
 from oracles import dense_sum, random_state
@@ -73,6 +73,9 @@ def test_sector_matrix_matches_dense_block(data, h):
     idx = sector_indices(n, charge)
     expected = dense_sum(h)[np.ix_(idx, idx)]
     np.testing.assert_allclose(sector_matrix(h, idx), expected, rtol=0, atol=1e-12)
+    amps = data.draw(states(n))[idx]
+    gathered = Sector(n, idx).apply(h, amps)
+    np.testing.assert_allclose(gathered, expected @ amps, rtol=0, atol=1e-12)
 
 
 @PROPERTY_SETTINGS

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from latfield.evolution import exact_evolve
 from latfield.models import (
     ThirringParams,
+    basis_charge,
     build_thirring,
     staggered_charge_op,
 )
 from latfield.pauli import (
     InvariantViolation,
     PauliSum,
+    Sector,
     StateVector,
     expectation,
     to_dense,
@@ -61,6 +64,14 @@ class TestSectorPreparation:
         block = sector_matrix(h, idx)
         expected = dense_sum(h)[np.ix_(idx, idx)]
         np.testing.assert_allclose(block, expected, atol=1e-13)
+
+    def test_sector_indices_match_scalar_charge(self):
+        for n in range(1, 11):
+            charges = np.array([basis_charge(k, n) for k in range(2**n)])
+            for charge in range(charges.min() - 1, charges.max() + 2):
+                np.testing.assert_array_equal(
+                    sector_indices(n, charge), np.flatnonzero(charges == charge)
+                )
 
     def test_sector_matrix_rejects_leaking_operator(self):
         with pytest.raises(InvariantViolation, match="0b1"):
@@ -167,6 +178,28 @@ class TestTwoPoint:
             h, psi, req.op_a, req.op_b, times
         )
         np.testing.assert_allclose(table[0], oracle, atol=1e-8)
+
+    def test_sector_and_full_space_paths_match_dense_oracle(self):
+        # The hopping bilinear keeps the charge, so the correlator runs in
+        # psi's charge sector; X on site 0 changes it, so it runs in the
+        # full space.
+        h = build_thirring(MODEL6)
+        psi = prepare_sector_state(h, SectorSpec(1))
+        times = tuple(np.linspace(0.0, 2.0, 5))
+        flip = PauliSum(6, [(1.0, "XIIIII")])
+        sector = Sector.of_state(psi)
+        assert sector.dim == 15 and sector.closed_under(h)
+        assert sector.closed_under(hopping_bilinear(6, 0)) and not sector.closed_under(flip)
+        for op, positions in [(hopping_bilinear(6, 0), (0, 2)), (flip, (0, 2, 4))]:
+            req = CorrelatorRequest(op_a=op, op_b=op, times=times, positions=positions)
+            table = two_point(h, psi, req)
+            hd, b = dense_sum(h), dense_sum(op)
+            for row, y in enumerate(positions):
+                a = dense_sum(translate(op, y))
+                for col, t in enumerate(times):
+                    u = scipy.linalg.expm(-1j * t * hd)
+                    bra, ket = u @ psi.amplitudes, u @ (b @ psi.amplitudes)
+                    assert abs(table[row, col] - np.vdot(bra, a @ ket)) <= 1e-12
 
     def test_trotter_path_close_to_exact_path(self):
         h = build_thirring(MODEL6)

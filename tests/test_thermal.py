@@ -32,48 +32,47 @@ def dense_quench_value(h0, h1, observable, beta, t):
 
 class TestBlochPropagate:
     def test_zero_beta_is_identity(self):
-        ts = bloch_propagate(H0, 0.0, steps=3)
+        ts = bloch_propagate(H0, 0.0)
         np.testing.assert_allclose(ts.rho, np.eye(16), atol=1e-14)
         assert ts.trace == pytest.approx(16.0)
 
     def test_matches_gibbs_operator_for_any_step_count(self):
         w, v = np.linalg.eigh(dense_sum(H0))
         expected = (v * np.exp(-1.3 * w)) @ v.conj().T
-        for steps in (1, 7):
-            ts = bloch_propagate(H0, 1.3, steps=steps)
-            np.testing.assert_allclose(ts.rho, expected, atol=1e-10)
+        ts = bloch_propagate(H0, 1.3)
+        np.testing.assert_allclose(ts.rho, expected, atol=1e-10)
 
     def test_partition_function(self):
         eigenvalues = np.linalg.eigvalsh(dense_sum(H0))
         for beta in (0.2, 1.0, 2.5):
-            ts = bloch_propagate(H0, beta, steps=4)
+            ts = bloch_propagate(H0, beta)
             assert ts.trace == pytest.approx(np.sum(np.exp(-beta * eigenvalues)), abs=1e-10)
 
     def test_large_beta_projects_onto_ground_state(self):
         w, v = np.linalg.eigh(dense_sum(H0))
         gap = w[1] - w[0]
         beta = 40.0 / gap
-        ts = bloch_propagate(H0, beta, steps=10)
+        ts = bloch_propagate(H0, beta)
         ground = v[:, 0]
         fidelity = np.vdot(ground, ts.rho @ ground).real / ts.trace
         assert fidelity >= 1 - 1e-8
 
     def test_commutes_with_generator(self):
-        ts = bloch_propagate(H0, 0.9, steps=3)
+        ts = bloch_propagate(H0, 0.9)
         h = dense_sum(H0)
         np.testing.assert_allclose(ts.rho @ h - h @ ts.rho, 0, atol=1e-10)
 
     def test_positive_semidefinite(self):
-        ts = bloch_propagate(H0, 1.7, steps=5)
+        ts = bloch_propagate(H0, 1.7)
         assert np.linalg.eigvalsh(ts.rho).min() >= -1e-12
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            bloch_propagate(H0, -0.1, steps=2)
+            bloch_propagate(H0, -0.1)
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
-            bloch_propagate(H0, 1.0, steps=2, cap=3)
+            bloch_propagate(H0, 1.0, cap=3)
 
 
 class TestDecompose:
@@ -85,7 +84,7 @@ class TestDecompose:
         assert ensemble.trace_estimate == pytest.approx(1.0)
 
     def test_threshold_above_max_empties_ensemble(self):
-        ts = bloch_propagate(H0, 1.0, steps=2)
+        ts = bloch_propagate(H0, 1.0)
         ensemble = decompose(ts, threshold=2.0 * np.abs(ts.rho).max())
         assert ensemble.entries == ()
         assert ensemble.trace_estimate == 0.0
@@ -97,7 +96,7 @@ class TestDecompose:
             letters = "".join(rng.choice(list("IXYZ")) for _ in range(5))
             pairs.append((float(rng.uniform(-0.6, 0.6)), letters))
         h = PauliSum(5, pairs)
-        ts = bloch_propagate(h, 0.8, steps=2)
+        ts = bloch_propagate(h, 0.8)
         errors = []
         for threshold in (0.5, 0.1, 0.01, 0.0):
             rec = decompose(ts, threshold).reconstruct()
@@ -109,14 +108,14 @@ class TestDecompose:
 class TestEnsembleObservable:
     def test_zero_time_thermal_expectation(self):
         beta = 0.9
-        ensemble = decompose(bloch_propagate(H0, beta, steps=3), threshold=0.0)
+        ensemble = decompose(bloch_propagate(H0, beta), threshold=0.0)
         value = ensemble_observable(ensemble, H0, H0, t=0.0)
         w = np.linalg.eigvalsh(dense_sum(H0))
         expected = np.sum(w * np.exp(-beta * w)) / np.sum(np.exp(-beta * w))
         assert value == pytest.approx(expected, abs=1e-10)
 
     def test_equilibrium_quench_is_stationary(self):
-        ensemble = decompose(bloch_propagate(H0, 0.7, steps=3), threshold=0.0)
+        ensemble = decompose(bloch_propagate(H0, 0.7), threshold=0.0)
         values = [ensemble_observable(ensemble, H0, H0, t) for t in (0.0, 0.8, 2.3)]
         assert max(values) - min(values) < 1e-9
 
@@ -124,7 +123,7 @@ class TestEnsembleObservable:
         h1 = build_thirring(ThirringParams(4, 0.2, 1.2))
         obs = staggered_density_op(4)
         beta = 0.8
-        ensemble = decompose(bloch_propagate(H0, beta, steps=3), threshold=0.0)
+        ensemble = decompose(bloch_propagate(H0, beta), threshold=0.0)
         for t in (0.0, 0.6, 1.7):
             value = ensemble_observable(ensemble, h1, obs, t)
             expected = dense_quench_value(H0, h1, obs, beta, t)
@@ -134,7 +133,7 @@ class TestEnsembleObservable:
         # Forcing the cap to zero exercises the Trotterized basis evolution.
         h1 = build_thirring(ThirringParams(4, 0.2, 1.2))
         obs = staggered_density_op(4)
-        ensemble = decompose(bloch_propagate(H0, 0.8, steps=3), threshold=0.05)
+        ensemble = decompose(bloch_propagate(H0, 0.8), threshold=0.05)
         exact = ensemble_observable(ensemble, h1, obs, 0.7)
         approx = ensemble_observable(
             ensemble, h1, obs, 0.7, cap=0, trotter_steps_per_unit=512
@@ -142,7 +141,7 @@ class TestEnsembleObservable:
         assert approx == pytest.approx(exact, abs=1e-3)
 
     def test_permutation_invariance(self):
-        ensemble = decompose(bloch_propagate(H0, 0.5, steps=2), threshold=0.01)
+        ensemble = decompose(bloch_propagate(H0, 0.5), threshold=0.01)
         h1 = build_thirring(ThirringParams(4, 0.2, 1.2))
         obs = total_z(4)
         base = ensemble_observable(ensemble, h1, obs, 0.9)
@@ -156,7 +155,7 @@ class TestEnsembleObservable:
         assert ensemble_observable(shuffled, h1, obs, 0.9) == pytest.approx(base, abs=1e-10)
 
     def test_linearity_in_observable(self):
-        ensemble = decompose(bloch_propagate(H0, 0.5, steps=2), threshold=0.0)
+        ensemble = decompose(bloch_propagate(H0, 0.5), threshold=0.0)
         h1 = build_thirring(ThirringParams(4, 0.2, 1.2))
         a = total_z(4)
         b = staggered_density_op(4)
@@ -181,7 +180,7 @@ class TestEnsembleObservable:
 
 class TestGibbsDump:
     def test_roundtrip(self, tmp_path):
-        ts = bloch_propagate(H0, 1.1, steps=2)
+        ts = bloch_propagate(H0, 1.1)
         path = tmp_path / "gibbs.bin"
         dump_gibbs(ts, path)
         again = load_gibbs(path, H0, 1.1)

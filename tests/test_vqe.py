@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from latfield.evolution import exact_evolve
 from latfield.fermions import jw_number
@@ -10,6 +11,8 @@ from latfield.models import (
     bare_vacuum,
     build_deuteron,
     build_resource_xy,
+    build_schwinger,
+    local_z,
     total_z,
 )
 from latfield.pauli import PauliSum, StateVector, expectation, to_dense
@@ -23,7 +26,7 @@ from latfield.vqe import (
     ucc_deuteron_ansatz,
 )
 
-from oracles import fock_annihilation, fock_creation
+from oracles import dense_exponential_product, dense_sum, fock_annihilation, fock_creation
 
 
 RESOURCE4 = ResourceParams(n_sites=4, j0=1.0, alpha=1.5, b_field=0.3, delta=1.0)
@@ -117,6 +120,30 @@ class TestHvaAnsatz:
         expected = exact_evolve(build_resource_xy(RESOURCE4), theta, bare_vacuum(4))
         np.testing.assert_allclose(got.amplitudes, expected.amplitudes, atol=1e-12)
 
+    @pytest.mark.parametrize("n_sites", [4, 6])
+    def test_sector_ansatz_matches_dense_oracle(self, n_sites):
+        resource = ResourceParams(n_sites, 1.0, 1.5, 0.3, 1.0)
+        ansatz = hva_schwinger_ansatz(resource, 4)
+        assert ansatz.sector.dim == scipy.special.comb(n_sites, n_sites // 2, exact=True)
+        h = build_schwinger(SchwingerParams(n_sites, 0.4, 1.3, spacing=0.5))
+        hd = dense_sum(h)
+        xy = build_resource_xy(resource)
+        z_layer = [local_z(j, resource.delta, n_sites) for j in range(n_sites)]
+        rng = np.random.default_rng(n_sites)
+        for _ in range(3):
+            values = rng.uniform(-2.0, 2.0, ansatz.parameter_count)
+            # Layers XY, Z, XY, Z: one angle per XY layer, one per qubit per Z layer.
+            generators = [xy, *z_layer, xy, *z_layer]
+            angles = [values[0], *values[1 : n_sites + 1], values[n_sites + 1], *values[n_sites + 2 :]]
+            expected = dense_exponential_product(generators, angles, bare_vacuum(n_sites).amplitudes)
+            got = ansatz.prepare(values).amplitudes
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+            energy = np.vdot(expected, hd @ expected).real
+            variance = np.linalg.norm(hd @ expected) ** 2 - energy**2
+            got_energy, got_variance = energy_and_variance(h, ansatz, values)
+            assert abs(got_energy - energy) <= 1e-12
+            assert abs(got_variance - variance) <= 1e-12
+
     def test_layer_count_validation(self):
         with pytest.raises(ValueError):
             hva_schwinger_ansatz(RESOURCE4, 0)
@@ -201,6 +228,7 @@ class TestOptimize:
         result = optimize(h, ansatz, [0.9], budget=5, seed=0)
         assert result.evaluations <= 5
         assert not result.converged
+        assert result.stop_reason == "budget"
 
     def test_budget_precondition(self):
         with pytest.raises(ValueError):
