@@ -7,7 +7,9 @@ factor commutes, so a group's exponential is built from its flip-mask
 parts (one phase vector for the diagonal part, one rotation per flip
 mask) and only the group order shapes the Trotter error.  A dense
 eigendecomposition propagator serves as the exact reference; the error
-diagnostic is the l2 distance between the two paths.
+diagnostic is the l2 distance between the two paths.  Its sector block is
+decomposed in real arithmetic whenever it has no imaginary part, and its
+one eigenvector array serves both ``V`` and ``V^H``.
 
 Plans are immutable and shareable; one evolution mutates one state under a
 single-writer contract, and independent trajectories (e.g. points of a
@@ -124,15 +126,28 @@ def trotter_evolve(plan: EvolutionPlan, s0: StateVector, reverse: bool = False) 
 class SpectralDecomposition:
     """Eigendecomposition of a Hermitian PauliSum on one sector (the full
     space by default) that ``h`` maps into itself, cached for reuse across
-    many evolution times on the same operator."""
+    many evolution times on the same operator.
+
+    A block with no imaginary part (every lattice Hamiltonian and XY
+    generator here) is decomposed as real symmetric, so its eigenvectors
+    are real up to one cast to complex; other blocks go to the complex
+    solver.  ``eigenvectors`` is the only d x d array kept: evolution forms
+    ``V^H a`` as ``conj(conj(a) V)`` instead of storing the adjoint.
+    """
 
     # Per Hamiltonian, alive as long as it is: {sector: decomposition}.
     _cache: "weakref.WeakKeyDictionary[PauliSum, dict]" = weakref.WeakKeyDictionary()
 
     def __init__(self, h: PauliSum, sector: Sector | None = None):
         self.sector = sector or Sector(h.n_qubits)
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(self.sector.matrix(h))
-        self._adjoint = np.ascontiguousarray(self.eigenvectors.conj().T)
+        block = self.sector.matrix(h)
+        if not block.imag.any():
+            block = block.real
+        self.eigenvalues, vectors = np.linalg.eigh(block)
+        # Freed before the cast: the peak is the block with the real
+        # eigenvectors, or the eigenvectors with their complex copy.
+        del block
+        self.eigenvectors = vectors.astype(complex, copy=False)
 
     @classmethod
     def for_hamiltonian(
@@ -153,7 +168,9 @@ class SpectralDecomposition:
     def evolve_amplitudes(self, t: float, amps: np.ndarray) -> np.ndarray:
         """exp(-i H t) on amplitudes in the sector's coordinates."""
         phases = np.exp(-1j * self.eigenvalues * t)
-        return self.eigenvectors @ (phases * (self._adjoint @ amps))
+        v = self.eigenvectors
+        # V^H a as conj(conj(a) V): both products read the one array V.
+        return v @ (phases * np.conj(np.conj(amps) @ v))
 
     def evolve(self, t: float, s: StateVector) -> StateVector:
         return self.sector.embed(self.evolve_amplitudes(t, self.sector.restrict(s)))

@@ -481,7 +481,7 @@ class Sector:
     ``indices``; sectors with the same basis compare equal.
     """
 
-    __slots__ = ("n_qubits", "_indices", "_key")
+    __slots__ = ("n_qubits", "_indices", "_key", "_z_values")
 
     # Restricted forms per Hamiltonian and sector, kept while ``h`` lives.
     _forms: "weakref.WeakKeyDictionary[PauliSum, dict]" = weakref.WeakKeyDictionary()
@@ -490,6 +490,7 @@ class Sector:
         self.n_qubits = n_qubits
         self._indices = None if indices is None else np.asarray(indices, dtype=np.int64)
         self._key = (n_qubits, None if indices is None else self._indices.tobytes())
+        self._z_values = None
 
     @classmethod
     def of_charge(cls, n_qubits: int, total_charge: int) -> "Sector":
@@ -515,8 +516,13 @@ class Sector:
 
     @property
     def z_values(self) -> np.ndarray:
-        """``(dim, n)`` Z eigenvalues (+1 for a clear bit) of the basis states."""
-        return 1.0 - 2.0 * (self.indices[:, None] >> np.arange(self.n_qubits) & 1)
+        """``(dim, n)`` Z eigenvalues (+1 for a clear bit) of the basis
+        states, built once per sector and read-only."""
+        if self._z_values is None:
+            z = 1.0 - 2.0 * (self.indices[:, None] >> np.arange(self.n_qubits) & 1)
+            z.flags.writeable = False
+            self._z_values = z
+        return self._z_values
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sector) and self._key == other._key

@@ -491,11 +491,7 @@ def phase_scan(
     # Staggered density (1/N) sum_j (-1)^j Z_j on the sector's basis states.
     density = ansatz.sector.z_values @ np.array([parity(j) for j in range(1, n + 1)]) / n
 
-    def hamiltonian(mass: float) -> PauliSum:
-        return build_schwinger(replace(template, mass=mass))
-
-    def run_point(mass: float, warm: np.ndarray, seed_k: int, cold: bool):
-        h = hamiltonian(mass)
+    def run_point(h: PauliSum, warm: np.ndarray, seed_k: int, cold: bool):
         best = {"variance": np.inf, "energy": np.inf}
 
         def objective(values: np.ndarray) -> float:
@@ -516,20 +512,25 @@ def phase_scan(
         return outcome, best["variance"]
 
     # Descending pass with burn-in annealing from above the scan window.
+    # Every mass's Hamiltonian is built once; the window's are kept for the
+    # ascending pass and the dense cross-check.
     burn_in = [masses[-1] + burn_in_step * k for k in range(burn_in_points, 0, -1)]
     found: dict[float, tuple] = {}
+    hamiltonians: dict[float, PauliSum] = {}
     warm = np.zeros(ansatz.parameter_count)
     for k, mass in enumerate(burn_in + list(reversed(masses))):
-        outcome, variance = run_point(mass, warm, seed + k, cold=(k == 0))
+        h = build_schwinger(replace(template, mass=mass))
+        outcome, variance = run_point(h, warm, seed + k, cold=(k == 0))
         warm = outcome.point
         if k >= len(burn_in):
             found[mass] = (outcome, variance)
+            hamiltonians[mass] = h
     # Ascending refinement pass: re-solve each point warm-started from its
     # lower neighbor and keep the better energy; this symmetrizes branch
     # tracking across the transition.
     warm = found[masses[0]][0].point
     for k, mass in enumerate(masses):
-        outcome, variance = run_point(mass, warm, seed + 1000 + k, cold=False)
+        outcome, variance = run_point(hamiltonians[mass], warm, seed + 1000 + k, cold=False)
         if outcome.value < found[mass][0].value:
             found[mass] = (outcome, variance)
         warm = found[mass][0].point
@@ -540,7 +541,7 @@ def phase_scan(
         if dense_cross:
             from .structure import SectorSpec, prepare_sector_state
 
-            ground = prepare_sector_state(hamiltonian(mass), SectorSpec(total_charge=0))
+            ground = prepare_sector_state(hamiltonians[mass], SectorSpec(total_charge=0))
             dense_value = expectation(staggered_density_op(n), ground)
         records.append(
             ScanRecord(

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -16,8 +17,10 @@ from latfield.evolution import (
 )
 from latfield.models import (
     SchwingerParams,
+    ThirringParams,
     bare_vacuum,
     build_schwinger,
+    build_thirring,
     staggered_charge_op,
 )
 from latfield.pauli import (
@@ -171,6 +174,20 @@ class TestExactEvolve:
         del h
         gc.collect()
         assert entry() is None
+
+    def test_real_block_decomposition_keeps_one_complex_matrix(self):
+        # 11-site Thirring chain in the full space: a real 2048 x 2048 block.
+        h = build_thirring(ThirringParams(11, 0.5, 0.8))
+        complex_matrix = 16 * (2**11) ** 2
+        tracemalloc.start()
+        try:
+            decomp = SpectralDecomposition(h)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not decomp.eigenvectors.imag.any()
+        assert peak / complex_matrix <= 2.1
+        assert kept / complex_matrix <= 1.1
 
 
 class TestTrotterError:

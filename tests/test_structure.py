@@ -4,8 +4,10 @@ import scipy.linalg
 
 from latfield.evolution import exact_evolve
 from latfield.models import (
+    SchwingerParams,
     ThirringParams,
     basis_charge,
+    build_schwinger,
     build_thirring,
     staggered_charge_op,
 )
@@ -73,6 +75,14 @@ class TestSectorPreparation:
                     sector_indices(n, charge), np.flatnonzero(charges == charge)
                 )
 
+    def test_z_values_built_once_and_read_only(self):
+        sector = Sector.of_charge(6, 0)
+        z = sector.z_values
+        assert sector.z_values is z
+        assert not z.flags.writeable
+        for row, k in zip(z, sector.indices):
+            np.testing.assert_array_equal(row, [1 - 2 * (k >> j & 1) for j in range(6)])
+
     def test_sector_matrix_rejects_leaking_operator(self):
         with pytest.raises(InvariantViolation, match="0b1"):
             sector_matrix(PauliSum(4, [(1.0, "XIII")]), sector_indices(4, 0))
@@ -95,6 +105,23 @@ class TestSectorPreparation:
             assert expectation(staggered_charge_op(6), state) == pytest.approx(
                 charge, abs=1e-10
             )
+
+    @pytest.mark.parametrize(
+        "h, complex_block",
+        [
+            (build_schwinger(SchwingerParams(6, 0.5, 1.0)), False),
+            (build_thirring(MODEL6) + 0.3 * thirring_bond_current(6, 2), True),
+        ],
+        ids=["real-schwinger", "complex-thirring-current"],
+    )
+    def test_state_matches_dense_eigenvector_up_to_phase(self, h, complex_block):
+        idx = sector_indices(6, 0)
+        block = dense_sum(h)[np.ix_(idx, idx)]
+        assert block.imag.any() == complex_block
+        w, v = np.linalg.eigh(block)
+        assert w[1] - w[0] > 1e-3  # the ground level is nondegenerate
+        state = prepare_sector_state(h, SectorSpec(total_charge=0))
+        assert abs(np.vdot(v[:, 0], state.amplitudes[idx])) >= 1 - 1e-12
 
     def test_charged_state_orthogonal_to_neutral_sector(self):
         h = build_thirring(MODEL8)
