@@ -37,7 +37,7 @@ from .models import (
     staggered_density_op,
     total_z,
 )
-from .pauli import InvariantViolation, PauliSum, ResourceLimitError, expectation, serialize
+from .pauli import InvariantViolation, PauliSum, ResourceLimitError, Sector, expectation, serialize
 from .structure import (
     CorrelatorRequest,
     SectorSpec,
@@ -128,35 +128,33 @@ def _run_schwinger_quench(config: RunConfig) -> dict:
     h = build_schwinger(params)
     n = params.n_sites
     charge_op = staggered_charge_op(n)
-    plan = make_plan(h, algo["t_max"], algo["steps"])
     state = bare_vacuum(n)
+    # The bare vacuum is one basis state: the sweeps run in its charge sector
+    # (they raise if h leaks out of it), and the charge column certifies it.
+    sector = Sector.of_state(state)
+    plan = make_plan(h, algo["t_max"], algo["steps"], sector)
     dt = algo["t_max"] / algo["steps"]
     record_every = algo["record_every"]
     if record_every < 1:
         raise ConfigError("'record_every' in [algorithm] must be >= 1")
-    rows = [
-        (
-            0,
-            0.0,
-            expectation(h, state),
-            particle_density(state, n),
-            expectation(charge_op, state),
+
+    def row(step: int, s) -> tuple:
+        return (
+            step,
+            step * dt,
+            expectation(h, s, sector),
+            particle_density(s, n, sector),
+            expectation(charge_op, s, sector),
         )
-    ]
+
+    rows = [row(0, state)]
     for step, state in enumerate(trotter_states(plan, state), start=1):
         if step % record_every == 0 or step == algo["steps"]:
-            rows.append(
-                (
-                    step,
-                    step * dt,
-                    expectation(h, state),
-                    particle_density(state, n),
-                    expectation(charge_op, state),
-                )
-            )
+            rows.append(row(step, state))
     path = config.out / "trajectory.csv"
     write_csv(path, config, ["step", "time", "energy", "particle_density", "charge"], rows)
-    return {"files": [path], "hamiltonian": h}
+    summary = {"sector_dim": sector.dim, "sweeps": step, "commuting_groups": len(plan.grouping)}
+    return {"files": [path], "hamiltonian": h, "summary": summary}
 
 
 def _write_vqe_trace(path: Path, config: RunConfig, result) -> None:
@@ -298,7 +296,7 @@ def _run_thirring_correlator(config: RunConfig) -> dict:
         "files": [corr_path, pdf_path],
         "hamiltonian": h,
         "summary": {
-            "state_energy": expectation(h, psi),
+            "state_energy": expectation(h, psi, Sector.of_state(psi)),
             "pdf_time": float(times[slice_index]),
             "quadrature": spectral.metadata,
         },
@@ -355,7 +353,10 @@ def _run_hadronic_tensor(config: RunConfig) -> dict:
     return {
         "files": [path],
         "hamiltonian": h,
-        "summary": {"state_energy": expectation(h, psi), "momentum": algo["momentum"]},
+        "summary": {
+            "state_energy": expectation(h, psi, Sector.of_state(psi)),
+            "momentum": algo["momentum"],
+        },
     }
 
 

@@ -9,7 +9,9 @@ mask) and only the group order shapes the Trotter error.  A dense
 eigendecomposition propagator serves as the exact reference; the error
 diagnostic is the l2 distance between the two paths.  Its sector block is
 decomposed in real arithmetic whenever it has no imaginary part, and its
-one eigenvector array serves both ``V`` and ``V^H``.
+one eigenvector array serves both ``V`` and ``V^H``.  A plan carries the
+sector its sweeps run on: the full space by default, or a charge sector
+that the Hamiltonian and each of its groups map into themselves.
 
 Plans are immutable and shareable; one evolution mutates one state under a
 single-writer contract, and independent trajectories (e.g. points of a
@@ -41,17 +43,23 @@ from .pauli import (
 @dataclass(frozen=True)
 class EvolutionPlan:
     """A Trotterized evolution: Hamiltonian terms partitioned into
-    commuting-within-group sets, total time, and sweep count."""
+    commuting-within-group sets, total time, sweep count, and the sector
+    the sweeps run on (the full space when None is given)."""
 
     hamiltonian: PauliSum
     total_time: float
     steps: int
     grouping: tuple[tuple[int, ...], ...]
     terms: tuple[PauliTerm, ...] = field(repr=False)
+    sector: Sector | None = None
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.sector is None:
+            object.__setattr__(self, "sector", Sector(self.hamiltonian.n_qubits))
+        else:
+            self.sector.compile(self.hamiltonian)  # raises if h leaks out of it
         covered = sorted(i for group in self.grouping for i in group)
         if covered != list(range(len(self.terms))):
             raise InvariantViolation("grouping must partition the term set")
@@ -79,33 +87,39 @@ def greedy_commuting_groups(terms: tuple[PauliTerm, ...]) -> tuple[tuple[int, ..
     return tuple(tuple(g) for g in groups)
 
 
-def make_plan(h: PauliSum, total_time: float, steps: int) -> EvolutionPlan:
+def make_plan(
+    h: PauliSum, total_time: float, steps: int, sector: Sector | None = None
+) -> EvolutionPlan:
     if not h.hermitian:
         raise InvariantViolation("evolution requires a Hermitian Hamiltonian")
     terms = h.terms
-    return EvolutionPlan(h, float(total_time), int(steps), greedy_commuting_groups(terms), terms)
+    groups = greedy_commuting_groups(terms)
+    return EvolutionPlan(h, float(total_time), int(steps), groups, terms, sector)
 
 
 def trotter_states(
     plan: EvolutionPlan, s0: StateVector, reverse: bool = False
 ) -> Iterator[StateVector]:
-    """Yield the state after each sweep (``plan.steps`` items)."""
+    """Yield the state after each sweep (``plan.steps`` items), swept on the
+    plan's sector amplitudes.  Raises InvariantViolation if ``s0`` has
+    amplitude outside the sector or a group maps the sector out of itself."""
     if s0.n_qubits != plan.hamiltonian.n_qubits:
         raise DimensionError("state and Hamiltonian qubit counts differ")
     n = plan.hamiltonian.n_qubits
     dt = plan.total_time / plan.steps
+    amps = plan.sector.restrict(s0)
     factors = []
     for group in plan.grouping[::-1] if reverse else plan.grouping:
         part = PauliSum(n, [(plan.terms[i].coefficient, plan.terms[i].letters) for i in group])
-        factors.append(CommutingExponential(part, dt))
+        factors.append(CommutingExponential(part, dt, plan.sector))
     # The identity component commutes with everything; its phase is exact.
     offset_phase = np.exp(-1j * complex(plan.hamiltonian.constant_offset).real * dt)
-    amps = s0.amplitudes.copy()
     for _ in range(plan.steps):
         for factor in factors:
             amps = factor.apply(amps)
+        # A new array every sweep: a yielded state is never overwritten.
         amps = offset_phase * amps
-        yield StateVector(amps)
+        yield plan.sector.embed(amps)
 
 
 def trotter_evolve(plan: EvolutionPlan, s0: StateVector, reverse: bool = False) -> StateVector:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import DimensionError, PauliSum, StateVector, letters_at
+from .pauli import DimensionError, PauliSum, Sector, StateVector, letters_at
 
 
 @dataclass(frozen=True)
@@ -109,21 +109,13 @@ def bare_vacuum(n_sites: int) -> StateVector:
     return StateVector.from_bits("01" * (n_sites // 2))
 
 
-def _z_expectations(s: StateVector) -> np.ndarray:
-    probs = np.abs(s.amplitudes) ** 2
-    idx = np.arange(probs.size, dtype=np.uint64)
-    out = np.empty(s.n_qubits)
-    for q in range(s.n_qubits):
-        ones = probs[(idx >> np.uint64(q) & np.uint64(1)).astype(bool)].sum()
-        out[q] = 1.0 - 2.0 * ones
-    return out
-
-
-def particle_density(s: StateVector, n_sites: int) -> float:
-    """Fraction of sites deviating from the bare-vacuum pattern, in [0, 1]."""
+def particle_density(s: StateVector, n_sites: int, sector: Sector | None = None) -> float:
+    """Fraction of sites off the bare-vacuum pattern, in [0, 1], read on
+    ``sector`` (the full space by default), which must hold all of ``s``."""
     if s.n_qubits != n_sites:
         raise DimensionError("state size does not match site count")
-    z = _z_expectations(s)
+    sector = sector or Sector(n_sites)
+    z = np.abs(sector.restrict(s)) ** 2 @ sector.z_values
     # Vacuum Z eigenvalues: +1 on odd sites (qubit even), -1 on even sites.
     vac = np.array([1.0 if q % 2 == 0 else -1.0 for q in range(n_sites)])
     return float(np.sum(1.0 - vac * z) / (2.0 * n_sites))

@@ -25,10 +25,11 @@ with one complex diagonal ``d_x`` per distinct mask, in first-appearance
 order.  Each ``d_x`` accumulates its terms in storage order; a nonzero
 constant offset comes first, as the seed of ``d_0``, so every matrix
 element sums exactly as a term-by-term fill would.  A sum builds these
-diagonals once, on first use, and keeps them.  ``Sector.compile``
-restricts them to a basis (a charge sector, or the full space), and every
-kernel reads that form: one gather applies it, one scatter fills dense
-matrices from it, and the commuting-group exponentials rotate with it.
+diagonals once, on first use, and keeps them.  ``Sector.compile`` builds
+the same form on a charge sector straight from the terms, evaluated only
+on the sector's states, and every kernel reads that form: one gather
+applies it, one scatter fills dense matrices from it, and the
+commuting-group exponentials rotate with it.
 
 Terms and sums are immutable after construction and safe to share across
 threads.  The kernels never mutate their input state; a caller that reuses
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -119,6 +121,12 @@ class PauliTerm:
         """Full complex weight including the folded phase."""
         return self.coefficient * (1j if self.imag else 1.0)
 
+    @cached_property
+    def masks(self) -> tuple[int, int]:
+        """``(x, z)``: bit ``j`` of ``x`` is set for X or Y on qubit ``j``,
+        of ``z`` for Z or Y."""
+        return _masks(self.letters)[:2]
+
     @property
     def weight(self) -> int:
         """Number of non-identity letters."""
@@ -154,16 +162,12 @@ def multiply(p: PauliTerm, q: PauliTerm) -> PauliTerm:
 
 
 def terms_commute(p: PauliTerm, q: PauliTerm) -> bool:
-    """Two Pauli strings commute iff they differ on an even number of
-    positions where both letters are non-identity."""
+    """Two Pauli strings commute iff ``popcount((x_p & z_q) ^ (z_p & x_q))``
+    is even, over their X/Y masks ``x`` and Z/Y masks ``z``."""
     if len(p.letters) != len(q.letters):
         raise DimensionError("term lengths differ")
-    clashes = sum(
-        1
-        for a, b in zip(p.letters, q.letters)
-        if a != "I" and b != "I" and a != b
-    )
-    return clashes % 2 == 0
+    (xp, zp), (xq, zq) = p.masks, q.masks
+    return ((xp & zq) ^ (zp & xq)).bit_count() % 2 == 0
 
 
 def letters_at(n_qubits: int, placements: Mapping[int, str]) -> str:
@@ -433,26 +437,7 @@ class PauliSum:
         first use; the arrays are read-only.
         """
         if self._flip_groups is None:
-            idx = np.arange(2**self.n_qubits)
-            diagonals: dict[int, np.ndarray] = {}
-            if self.constant_offset != 0:
-                diagonals[0] = np.full(idx.size, complex(self.constant_offset))
-            for letters, coeff in zip(self._strings, self._coeffs):
-                xmask, zmask, ny = _masks(letters)
-                signs = 1.0 - 2.0 * (np.bitwise_count((idx ^ xmask) & zmask) & 1)
-                element = complex(coeff) * 1j**ny * signs
-                if xmask in diagonals:
-                    diagonals[xmask] += element
-                else:
-                    diagonals[xmask] = element
-            groups = []
-            for xmask, diagonal in diagonals.items():
-                source = idx ^ xmask if xmask else None
-                for array in (diagonal, source):
-                    if array is not None:
-                        array.flags.writeable = False
-                groups.append((xmask, diagonal, source))
-            self._flip_groups = tuple(groups)
+            self._flip_groups = _compile(self, None)[0]
         return self._flip_groups
 
     def apply_to(self, s: StateVector) -> StateVector:
@@ -460,6 +445,46 @@ class PauliSum:
         if s.n_qubits != self.n_qubits:
             raise DimensionError("operator and state qubit counts differ")
         return StateVector(_gather(self.flip_groups(), s.amplitudes))
+
+
+def _compile(h: PauliSum, indices: np.ndarray | None):
+    """``h`` on the sorted basis ``indices`` (all ``2^n`` states when None),
+    built from its terms: ``((x, d, gather) per flip mask x, first leaking
+    mask or None)``.  A mask's terms are evaluated only on the basis and on
+    the states ``indices ^ x`` outside it, where an element leaks when it
+    exceeds 1e-12 of the largest element on those rows; such a row gathers
+    from itself with weight zero.  The constant offset is a diagonal term.
+    """
+    masks: dict[int, list] = {0: [(complex(h.constant_offset), 0)]} if h.constant_offset else {}
+    for letters, coeff in zip(h._strings, h._coeffs):
+        xmask, zmask, ny = _masks(letters)
+        masks.setdefault(xmask, []).append((complex(coeff) * 1j**ny, zmask))
+    full = indices is None
+    indices = np.arange(2**h.n_qubits) if full else indices
+    dim = indices.size
+    form, escapes, largest = [], [], 0.0
+    for xmask, terms in masks.items():
+        gather = targets = indices ^ xmask if xmask else None
+        inside = None
+        if xmask and not full:
+            gather = np.minimum(np.searchsorted(indices, targets), dim - 1)
+            inside = indices[gather] == targets
+            inside = None if inside.all() else inside
+        rows = indices if inside is None else np.concatenate([indices, targets[~inside]])
+        flipped, d = rows ^ xmask, None
+        for weight, zmask in terms:
+            element = weight * (1.0 - 2.0 * (np.bitwise_count(flipped & zmask) & 1))
+            d = element if d is None else np.add(d, element, out=d)
+        largest = max(largest, np.abs(d).max(initial=0.0))
+        if inside is not None:
+            escapes.append((xmask, np.abs(d[dim:]).max()))
+            d, gather = np.where(inside, d[:dim], 0), np.where(inside, gather, np.arange(dim))
+        for array in (d, gather):
+            if array is not None:
+                array.flags.writeable = False
+        form.append((xmask, d, gather))
+    leaks = (xmask for xmask, escaped in escapes if escaped > 1e-12 * largest)
+    return tuple(form), next(leaks, None)
 
 
 def _gather(form, amps: np.ndarray) -> np.ndarray:
@@ -554,7 +579,10 @@ class Sector:
         full space hands back ``h.flip_groups()`` itself.
 
         Raises InvariantViolation if ``h`` maps a sector state outside the
-        sector: an element counts when it exceeds 1e-12 of the largest one.
+        sector: an element counts when it exceeds 1e-12 of the largest one
+        on the rows the sector touches, its states and those they map to.
+        A sector's form is built from the terms of ``h`` on those rows alone,
+        never from ``h.flip_groups()``.
         """
         form, leak = self._form(h)
         if leak is not None:
@@ -593,25 +621,7 @@ class Sector:
             return h.flip_groups(), None
         forms = self._forms.setdefault(h, {})
         if self not in forms:
-            indices = self._indices
-            rows = np.arange(indices.size)
-            groups = h.flip_groups()
-            largest = max((np.abs(d).max() for _, d, _ in groups), default=0.0)
-            form, leak = [], None
-            for xmask, diagonal, source in groups:
-                if source is None:
-                    form.append((xmask, diagonal[indices], None))
-                    continue
-                targets = indices ^ xmask
-                pos = np.minimum(np.searchsorted(indices, targets), indices.size - 1)
-                inside = indices[pos] == targets
-                escaped = np.abs(diagonal[targets[~inside]])
-                if leak is None and escaped.max(initial=0.0) > 1e-12 * largest:
-                    leak = xmask
-                form.append(
-                    (xmask, np.where(inside, diagonal[indices], 0), np.where(inside, pos, rows))
-                )
-            forms[self] = (tuple(form), leak)
+            forms[self] = _compile(h, self._indices)
         return forms[self]
 
 
@@ -652,12 +662,14 @@ class CommutingExponential:
         return amps
 
 
-def expectation(h: PauliSum, s: StateVector) -> float:
-    """``<s|h|s>`` for a Hermitian sum on a normalized state."""
+def expectation(h: PauliSum, s: StateVector, sector: Sector | None = None) -> float:
+    """``<s|h|s>`` for a Hermitian sum on a normalized state, read on
+    ``sector`` (the full space by default): it must hold all of ``s``."""
     if not h.hermitian:
         raise InvariantViolation("expectation requires a Hermitian PauliSum")
-    hs = h.apply_to(s)
-    value = s.inner(hs)
+    sector = sector or Sector(h.n_qubits)
+    amps = sector.restrict(s)
+    value = complex(np.vdot(amps, sector.apply(h, amps)))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise InvariantViolation(f"expectation has imaginary residue {value.imag}")
     return value.real

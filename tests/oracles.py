@@ -61,6 +61,45 @@ def dense_exponential_product(generators, angles, amps):
     return out
 
 
+def letterwise_commute(a, b):
+    """Two letter strings commute iff they differ on an even number of
+    positions where both letters are non-identity."""
+    clashes = sum(1 for p, q in zip(a, b) if p != "I" and q != "I" and p != q)
+    return clashes % 2 == 0
+
+
+def restricted_form(h, indices):
+    """``(form, first leaking mask or None)`` of ``h`` on sorted ``indices``,
+    restricted from its full-space ``flip_groups()``: the largest element is
+    taken over all ``2^n`` rows."""
+    groups = h.flip_groups()
+    rows = np.arange(indices.size)
+    largest = max((np.abs(d).max() for _, d, _ in groups), default=0.0)
+    form, leak = [], None
+    for xmask, diagonal, source in groups:
+        if source is None:
+            form.append((xmask, diagonal[indices], None))
+            continue
+        targets = indices ^ xmask
+        pos = np.minimum(np.searchsorted(indices, targets), indices.size - 1)
+        inside = indices[pos] == targets
+        escaped = np.abs(diagonal[targets[~inside]])
+        if leak is None and escaped.max(initial=0.0) > 1e-12 * largest:
+            leak = xmask
+        form.append((xmask, np.where(inside, diagonal[indices], 0), np.where(inside, pos, rows)))
+    return tuple(form), leak
+
+
+def form_matrix(form, dim):
+    """Dense matrix of a compiled form, ``mat[i, gather[i]] = d[i]`` with the
+    diagonal part written last."""
+    mat = np.zeros((dim, dim), dtype=complex)
+    rows = np.arange(dim)
+    for _, diagonal, gather in sorted(form, key=lambda group: group[2] is None):
+        mat[rows, rows if gather is None else gather] = diagonal
+    return mat
+
+
 def fock_annihilation(j, n):
     """Fock-space a_j with |1> = occupied and sign (-1)^(occupied modes < j)."""
     dim = 2**n

@@ -240,6 +240,8 @@ def test_criterion_7_gauss_law():
     n = 8
     h = build_schwinger(SchwingerParams(n, 0.5, 1.0))
     charge = staggered_charge_op(n)
+    # Full space on purpose: a plan on the vacuum's charge sector conserves
+    # charge by construction, and this check would then test nothing.
     plan = make_plan(h, 4.0, 200)
     worst = max(
         abs(expectation(charge, state)) for state in trotter_states(plan, bare_vacuum(n))

@@ -3,12 +3,17 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import latfield
 from latfield import cli
 from latfield.cli import main
+from latfield.evolution import make_plan
+from latfield.models import SchwingerParams, bare_vacuum, build_schwinger, staggered_charge_op
 from latfield.pauli import deserialize
+
+from oracles import apply_string
 
 
 QUENCH_INI = """
@@ -22,6 +27,45 @@ t_max = 1.0
 steps = 50
 record_every = 5
 """
+
+QUENCH8_INI = QUENCH_INI.replace("n_sites = 6", "n_sites = 8").replace(
+    "steps = 50", "steps = 20"
+)
+
+
+def full_space_quench_rows(n, t_max, steps, record_every):
+    """The 8-site quench of ``QUENCH8_INI`` on all ``2^n`` amplitudes, one
+    Pauli string at a time: each group's exponential as the product of its
+    commuting single-string rotations, observables summed string by string."""
+    h = build_schwinger(SchwingerParams(n, 0.5, 1.0))
+    plan = make_plan(h, t_max, steps)
+    charge = staggered_charge_op(n)
+    bits = np.arange(2**n)[:, None] >> np.arange(n) & 1
+    dt = t_max / steps
+
+    def mean(op, amps):
+        value = op.constant_offset + sum(
+            coeff * np.vdot(amps, apply_string(letters, amps)) for letters, coeff in op.items()
+        )
+        return value.real
+
+    def row(step, amps):
+        density = (np.abs(amps) ** 2 @ (bits != np.arange(n) % 2)).sum() / n
+        return [step, step * dt, mean(h, amps), density, mean(charge, amps)]
+
+    amps = bare_vacuum(n).amplitudes
+    rows = [row(0, amps)]
+    for step in range(1, steps + 1):
+        for group in plan.grouping:
+            for i in group:
+                theta = dt * plan.terms[i].coefficient
+                rotated = apply_string(plan.terms[i].letters, amps)
+                amps = np.cos(theta) * amps - 1j * np.sin(theta) * rotated
+        amps = np.exp(-1j * dt * h.constant_offset) * amps
+        if step % record_every == 0 or step == steps:
+            rows.append(row(step, amps))
+    return np.array(rows)
+
 
 DEUTERON_INI = """
 [run]
@@ -68,6 +112,21 @@ class TestQuench:
         assert float(rows[-1][3]) > 0.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert "trajectory.csv" in manifest["outputs"]
+
+    def test_sector_rows_match_full_space_oracle(self, tmp_path):
+        code, out = run_cli("schwinger-quench", QUENCH8_INI, tmp_path, "quench8")
+        assert code == 0
+        _, rows = read_rows(out / "trajectory.csv")
+        expected = full_space_quench_rows(8, 1.0, 20, 5)
+        assert [int(row[0]) for row in rows] == [0, 5, 10, 15, 20]
+        np.testing.assert_allclose(np.array(rows, dtype=float), expected, rtol=0, atol=1e-12)
+
+    def test_manifest_records_quench_counters(self, tmp_path):
+        code, out = run_cli("schwinger-quench", QUENCH_INI, tmp_path, "counters")
+        assert code == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        # C(6, 3) zero-charge states; odd bonds, even bonds and the diagonal.
+        assert summary == {"sector_dim": 20, "sweeps": 50, "commuting_groups": 3}
 
     def test_manifest_checksums_match(self, tmp_path):
         import hashlib

@@ -1,4 +1,5 @@
 import gc
+import math
 import tracemalloc
 import weakref
 
@@ -26,6 +27,7 @@ from latfield.models import (
 from latfield.pauli import (
     InvariantViolation,
     PauliSum,
+    Sector,
     StateVector,
     expectation,
 )
@@ -188,6 +190,32 @@ class TestExactEvolve:
         assert not decomp.eigenvectors.imag.any()
         assert peak / complex_matrix <= 2.1
         assert kept / complex_matrix <= 1.1
+
+
+class TestSectorPlan:
+    @pytest.mark.parametrize("n", [8, 12, 16])
+    def test_vacuum_trajectory_matches_full_space(self, n):
+        h = build_schwinger(SchwingerParams(n, 0.5, 1.0))
+        vac = bare_vacuum(n)
+        sector = Sector.of_state(vac)
+        plan = make_plan(h, 1.0, 20, sector)
+        assert plan.sector.dim == math.comb(n, n // 2)
+        assert make_plan(h, 1.0, 20).sector == Sector(n)
+        full = trotter_states(make_plan(h, 1.0, 20), vac)
+        for a, b in zip(full, trotter_states(plan, vac), strict=True):
+            np.testing.assert_allclose(b.amplitudes, a.amplitudes, rtol=0, atol=1e-12)
+
+    def test_plan_rejects_hamiltonian_leaking_out_of_sector(self):
+        h = build_schwinger(SchwingerParams(6, 0.5, 1.0)) + PauliSum(6, [(0.1, "XIIIII")])
+        with pytest.raises(InvariantViolation, match="0b1 maps"):
+            make_plan(h, 1.0, 4, Sector.of_state(bare_vacuum(6)))
+
+    def test_sweeps_reject_state_outside_sector(self):
+        h = build_schwinger(SchwingerParams(6, 0.5, 1.0))
+        plan = make_plan(h, 1.0, 4, Sector.of_charge(6, 0))
+        amps = bare_vacuum(6).amplitudes + StateVector.from_bits("000000").amplitudes
+        with pytest.raises(InvariantViolation, match="outside the sector"):
+            next(trotter_states(plan, StateVector(amps / np.sqrt(2))))
 
 
 class TestTrotterError:

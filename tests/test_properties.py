@@ -1,17 +1,33 @@
-"""Property tests: the flip-mask kernels and the sector eigenbasis against the
-dense oracles on random Pauli sums of up to six qubits."""
+"""Property tests: the flip-mask kernels, the sector forms, the commutation
+test and the sector eigenbasis against the oracles on random Pauli sums of
+up to six qubits (eight for the sector sweeps)."""
 
 import numpy as np
+import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latfield.evolution import SpectralDecomposition, make_plan, trotter_evolve
+from latfield.evolution import (
+    SpectralDecomposition,
+    greedy_commuting_groups,
+    make_plan,
+    trotter_evolve,
+    trotter_states,
+)
 from latfield.models import basis_charge
-from latfield.pauli import PauliSum, Sector, StateVector, to_dense
+from latfield.pauli import (
+    InvariantViolation,
+    PauliSum,
+    PauliTerm,
+    Sector,
+    StateVector,
+    terms_commute,
+    to_dense,
+)
 from latfield.structure import sector_indices, sector_matrix
 
-from oracles import dense_sum, random_state
+from oracles import dense_sum, letterwise_commute, random_state, restricted_form
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -112,3 +128,74 @@ def test_sector_decomposition_matches_dense_exponential(data, h, t):
     np.testing.assert_allclose(decomp.eigenvalues, np.linalg.eigvalsh(block), rtol=0, atol=1e-12)
     if not block.imag.any():
         assert not decomp.eigenvectors.imag.any()
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), n=st.integers(1, 10))
+def test_terms_commute_matches_letterwise_oracle(data, n):
+    a, b = (data.draw(st.text("IXYZ", min_size=n, max_size=n)) for _ in range(2))
+    assert terms_commute(PauliTerm(1.0, a), PauliTerm(-0.5, b, True)) == letterwise_commute(a, b)
+
+
+@PROPERTY_SETTINGS
+@given(h=pauli_sums(max_terms=16))
+def test_greedy_groups_match_letterwise_oracle(h):
+    terms = h.terms
+    groups = []
+    for i, term in enumerate(terms):
+        for group in groups:
+            if all(letterwise_commute(term.letters, terms[j].letters) for j in group):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    assert greedy_commuting_groups(terms) == tuple(tuple(group) for group in groups)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), h=st.one_of(pauli_sums(), charge_conserving_sums(currents=True)))
+def test_sector_form_matches_restricted_oracle(data, h):
+    """Same arrays bit for bit; the leak test is at least as strict."""
+    n = h.n_qubits
+    sector = Sector.of_charge(n, basis_charge(data.draw(st.integers(0, 2**n - 1)), n))
+    form, leak = sector._form(h)
+    oracle_form, oracle_leak = restricted_form(h, sector.indices)
+    assert oracle_leak is None or leak is not None
+    assert len(form) == len(oracle_form)
+    for (x, d, gather), (ox, od, ogather) in zip(form, oracle_form):
+        assert x == ox and d.tobytes() == od.tobytes()
+        assert (gather is None and ogather is None) or np.array_equal(gather, ogather)
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    h=charge_conserving_sums(max_qubits=8, currents=True),
+    t=st.floats(-1.5, 1.5),
+)
+def test_sector_trajectory_matches_full_space(data, h, t):
+    """A sector plan sweeps like the full space when every commuting group
+    maps the sector into itself, and raises when one does not: with the
+    terms in a drawn order, a greedy group may hold X_i X_j without its
+    Y_i Y_j."""
+    n = h.n_qubits
+    items = data.draw(st.permutations(h.items()))
+    h = PauliSum(n, [(coeff, letters) for letters, coeff in items], h.constant_offset)
+    sector = Sector.of_charge(n, basis_charge(data.draw(st.integers(0, 2**n - 1)), n))
+    amps = np.zeros(2**n, dtype=complex)
+    amps[sector.indices] = data.draw(states(n))[sector.indices]
+    s0 = StateVector(amps / np.linalg.norm(amps))
+    full_plan, sector_plan = make_plan(h, t, 3), make_plan(h, t, 3, sector)
+    parts = [
+        PauliSum(n, [(full_plan.terms[i].coefficient, full_plan.terms[i].letters) for i in group])
+        for group in full_plan.grouping
+    ]
+    if all(sector.closed_under(part) for part in parts):
+        sweeps = zip(trotter_states(full_plan, s0), trotter_states(sector_plan, s0), strict=True)
+        for full, restricted in sweeps:
+            np.testing.assert_allclose(
+                restricted.amplitudes, full.amplitudes, rtol=0, atol=1e-12
+            )
+    else:
+        with pytest.raises(InvariantViolation):
+            next(trotter_states(sector_plan, s0))

@@ -4,12 +4,15 @@ import scipy.linalg
 
 from latfield.evolution import exact_evolve
 from latfield.models import (
+    ResourceParams,
     SchwingerParams,
     ThirringParams,
     basis_charge,
+    build_resource_xy,
     build_schwinger,
     build_thirring,
     staggered_charge_op,
+    staggered_density_op,
 )
 from latfield.pauli import (
     InvariantViolation,
@@ -39,7 +42,7 @@ from latfield.structure import (
     two_point,
 )
 
-from oracles import dense_sum
+from oracles import dense_sum, form_matrix, restricted_form
 
 
 MODEL6 = ThirringParams(6, 0.5, 0.8)
@@ -86,6 +89,57 @@ class TestSectorPreparation:
     def test_sector_matrix_rejects_leaking_operator(self):
         with pytest.raises(InvariantViolation, match="0b1"):
             sector_matrix(PauliSum(4, [(1.0, "XIII")]), sector_indices(4, 0))
+
+    @pytest.mark.parametrize(
+        "pairs, leaks, oracle_leaks",
+        [
+            # Z_0 puts 1 on every row: the leak is weighed against 1.
+            ([(1.0, "ZIII"), (2e-12, "XIII")], True, True),
+            ([(1.0, "ZIII"), (5e-13, "XIII")], False, False),
+            # Total Z is 0 on the charge-0 rows and 4 only on a row outside
+            # the ones the sector touches, so the largest element there is
+            # the leak itself; over all 2^n rows it would pass.
+            ([(1.0, "ZIII"), (1.0, "IZII"), (1.0, "IIZI"), (1.0, "IIIZ"), (1e-12, "XIII")],
+             True, False),
+        ],
+    )
+    def test_leak_threshold_is_relative_to_touched_rows(self, pairs, leaks, oracle_leaks):
+        h = PauliSum(4, pairs)
+        sector = Sector.of_charge(4, 0)
+        assert sector.closed_under(h) is not leaks
+        assert (restricted_form(h, sector.indices)[1] is not None) is oracle_leaks
+        if leaks:
+            with pytest.raises(InvariantViolation, match="0b1"):
+                sector.compile(h)
+        else:
+            # The sub-threshold element is dropped from the sector's form.
+            idx = sector.indices
+            expected = dense_sum(PauliSum(4, pairs[:-1]))[np.ix_(idx, idx)]
+            np.testing.assert_array_equal(sector.matrix(h), expected)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: build_thirring(MODEL6),
+            lambda: build_schwinger(SchwingerParams(6, 0.5, 1.0)),
+            lambda: build_schwinger(SchwingerParams(12, 0.7, 1.3, boundary_field=0.4)),
+            lambda: staggered_density_op(6),
+            lambda: staggered_charge_op(8),
+            lambda: build_resource_xy(ResourceParams(8, 1.0, 1.5, 0.3, 1.0)),
+        ],
+        ids=["thirring6", "schwinger6", "schwinger12", "density6", "charge8", "xy8"],
+    )
+    def test_sector_matrix_byte_identical_to_restricted_oracle(self, build):
+        h = build()
+        n = h.n_qubits
+        sectors = [Sector.of_charge(n, charge) for charge in range(n // 2 - n, n // 2 + 1)]
+        matrices = [sector.matrix(h) for sector in sectors]
+        # Built from the terms on the sectors' rows, never in the full space.
+        assert h._flip_groups is None
+        for sector, mat in zip(sectors, matrices):
+            form, leak = restricted_form(h, sector.indices)
+            assert leak is None
+            assert mat.tobytes() == form_matrix(form, sector.dim).tobytes()
 
     def test_neutral_ground_state_energy(self):
         h = build_thirring(MODEL6)
