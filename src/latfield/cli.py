@@ -220,15 +220,7 @@ def _run_phase_scan(config: RunConfig) -> dict:
             ground = prepare_sector_state(h, SectorSpec(total_charge=0))
             return (mass, expectation(h, ground), 0.0, expectation(order_op, ground))
 
-        if config.threads > 1:
-            # Per-mass eigensolves are independent; map preserves order, so
-            # the output is identical to the sequential path.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                rows = list(pool.map(solve, masses))
-        else:
-            rows = [solve(mass) for mass in masses]
+        rows = [solve(mass) for mass in masses]
     else:
         records = phase_scan(
             masses,
@@ -482,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="optimizer seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
         p.add_argument(
             "--dump-hamiltonian",
             action="store_true",
@@ -499,7 +490,6 @@ def main(argv=None) -> int:
             args.subcommand,
             out=args.out,
             seed=args.seed,
-            threads=args.threads,
             dump_hamiltonian=args.dump_hamiltonian,
         )
         run(config)

@@ -61,7 +61,6 @@ def _resource_fields() -> dict[str, Field]:
 _RUN_SECTION = {
     "out": Field(str),
     "seed": Field(int),
-    "threads": Field(int),
 }
 
 SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
@@ -179,7 +178,6 @@ class RunConfig:
     sections: dict[str, dict[str, Any]]
     out: Path
     seed: int
-    threads: int
     dump_hamiltonian: bool
 
     def model(self) -> dict[str, Any]:
@@ -193,7 +191,6 @@ class RunConfig:
         items: list[tuple[str, Any]] = [
             ("run.subcommand", self.subcommand),
             ("run.seed", self.seed),
-            ("run.threads", self.threads),
         ]
         for section in sorted(self.sections):
             for key in sorted(self.sections[section]):
@@ -251,7 +248,6 @@ def load_run_config(
     subcommand: str,
     out: str | None = None,
     seed: int | None = None,
-    threads: int | None = None,
     dump_hamiltonian: bool = False,
 ) -> RunConfig:
     """Parse and validate a config file; CLI flags override [run] keys."""
@@ -270,9 +266,6 @@ def load_run_config(
 
     resolved_out = resolve(out, "out", f"runs/{subcommand}")
     resolved_seed = resolve(seed, "seed", 0)
-    resolved_threads = resolve(threads, "threads", 1)
-    if resolved_threads < 1:
-        raise ConfigError("threads must be >= 1")
     if resolved_seed < 0:
         raise ConfigError("seed must be non-negative")
     return RunConfig(
@@ -280,6 +273,5 @@ def load_run_config(
         sections=sections,
         out=Path(resolved_out),
         seed=int(resolved_seed),
-        threads=int(resolved_threads),
         dump_hamiltonian=dump_hamiltonian,
     )

@@ -115,10 +115,12 @@ def particle_density(s: StateVector, n_sites: int, sector: Sector | None = None)
     if s.n_qubits != n_sites:
         raise DimensionError("state size does not match site count")
     sector = sector or Sector(n_sites)
-    z = np.abs(sector.restrict(s)) ** 2 @ sector.z_values
-    # Vacuum Z eigenvalues: +1 on odd sites (qubit even), -1 on even sites.
-    vac = np.array([1.0 if q % 2 == 0 else -1.0 for q in range(n_sites)])
-    return float(np.sum(1.0 - vac * z) / (2.0 * n_sites))
+    weights = np.abs(sector.restrict(s))
+    weights *= weights
+    # The bare vacuum sets the odd qubits (even sites); a basis state is off
+    # it on as many sites as the bits it differs in.
+    vacuum = sum(1 << q for q in range(1, n_sites, 2))
+    return float(weights @ np.bitwise_count(sector.indices ^ vacuum) / n_sites)
 
 
 def basis_charge(index: int, n_sites: int) -> int:

@@ -676,8 +676,8 @@ def expectation(h: PauliSum, s: StateVector, sector: Sector | None = None) -> fl
 
 
 def to_dense(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the sum (test/oracle use only): the
-    full-space ``Sector.matrix``, ``mat[k, k ^ x] = d_x[k]``."""
+    """Dense 2^n x 2^n matrix of the sum: the full-space
+    ``Sector.matrix``, ``mat[k, k ^ x] = d_x[k]``."""
     if h.n_qubits > cap:
         raise ResourceLimitError(
             f"dense matrix for {h.n_qubits} qubits exceeds cap {cap}"

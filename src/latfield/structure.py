@@ -155,22 +155,24 @@ def adiabatic_sector_state(
 
     The sweep starts from the exact sector ground state of ``h_path(0)``
     (chosen trivial, e.g. the large-mass limit) and applies piecewise
-    constant evolution at the midpoint of each interval.  Only ground
-    states (energy_rank 0) can be tracked this way; fidelity to the exact
-    eigenstate improves with ``total_time`` while the sweep stays gapped.
+    constant evolution at the midpoint of each interval, on the charge
+    sector's amplitudes.  Only ground states (energy_rank 0) can be tracked
+    this way; fidelity to the exact eigenstate improves with ``total_time``
+    while the sweep stays gapped.
     """
     if sector.energy_rank != 0:
         raise ValueError("adiabatic tracking only follows sector ground states")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    from .evolution import exact_evolve
-
-    state = prepare_sector_state(h_path(0.0), sector, cap)
+    h_start = h_path(0.0)
+    basis = Sector.of_charge(h_start.n_qubits, sector.total_charge)
+    amps = basis.restrict(prepare_sector_state(h_start, sector, cap))
     dt = total_time / steps
     for k in range(steps):
         s_mid = (k + 0.5) / steps
-        state = exact_evolve(h_path(s_mid), dt, state, cap)
-    return state
+        decomp = SpectralDecomposition.for_hamiltonian(h_path(s_mid), cap, basis)
+        amps = decomp.evolve_amplitudes(dt, amps)
+    return basis.embed(amps)
 
 
 def thirring_mass_sweep(params, mass_start: float = 25.0) -> Callable[[float], PauliSum]:

@@ -352,6 +352,17 @@ steps = 10
         assert code == 2
         assert "wiggle" in capsys.readouterr().err
 
+    def test_threads_key_rejected(self, tmp_path, capsys):
+        ini = "[run]\nthreads = 2\n" + QUENCH_INI
+        code, _ = run_cli("schwinger-quench", ini, tmp_path, "key")
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
+
+    def test_threads_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("schwinger-quench", QUENCH_INI, tmp_path, "flag", extra=["--threads", "2"])
+        assert exc.value.code == 2
+
     def test_resource_cap_exit_code(self, tmp_path):
         ini = """
 [model]

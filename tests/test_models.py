@@ -176,6 +176,25 @@ class TestBareVacuumAndDensity:
         mix = StateVector((vac.amplitudes + pair.amplitudes) / np.sqrt(2))
         assert particle_density(mix, 4) == pytest.approx(2 / (2 * 4))
 
+    def test_full_space_density_stays_linear_in_memory(self):
+        import tracemalloc
+
+        n = 16
+        rng = np.random.default_rng(3)
+        amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        state = StateVector(amps / np.linalg.norm(amps))
+        bits = np.arange(2**n)[:, None] >> np.arange(n) & 1
+        expected = (np.abs(state.amplitudes) ** 2 @ (bits != np.arange(n) % 2)).sum() / n
+        tracemalloc.start()
+        try:
+            value = particle_density(state, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One (2^n, n) table alone would be 8 MiB.
+        assert peak <= 2 * 2**20
+        assert value == pytest.approx(expected, abs=1e-12)
+
     def test_mass_term_minimal_on_vacuum(self):
         n = 6
         mass_term = PauliSum(

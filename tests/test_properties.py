@@ -1,6 +1,7 @@
 """Property tests: the flip-mask kernels, the sector forms, the commutation
-test and the sector eigenbasis against the oracles on random Pauli sums of
-up to six qubits (eight for the sector sweeps)."""
+test, the sector eigenbasis and the thermal ensemble contraction against
+the oracles on random Pauli sums of up to six qubits (eight for the sector
+sweeps)."""
 
 import numpy as np
 import pytest
@@ -26,8 +27,15 @@ from latfield.pauli import (
     to_dense,
 )
 from latfield.structure import sector_indices, sector_matrix
+from latfield.thermal import bloch_propagate, decompose, ensemble_observable
 
-from oracles import dense_sum, letterwise_commute, random_state, restricted_form
+from oracles import (
+    dense_sum,
+    letterwise_commute,
+    random_state,
+    restricted_form,
+    superposition_ensemble_value,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -35,8 +43,8 @@ coefficients = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def pauli_sums(draw, max_qubits=6, max_terms=8):
-    n = draw(st.integers(1, max_qubits))
+def pauli_sums(draw, max_qubits=6, max_terms=8, min_qubits=1):
+    n = draw(st.integers(min_qubits, max_qubits))
     letters = st.text("IXYZ", min_size=n, max_size=n)
     pairs = draw(st.lists(st.tuples(coefficients, letters), max_size=max_terms))
     return PauliSum(n, pairs, constant_offset=draw(coefficients))
@@ -199,3 +207,24 @@ def test_sector_trajectory_matches_full_space(data, h, t):
     else:
         with pytest.raises(InvariantViolation):
             next(trotter_states(sector_plan, s0))
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    h0=pauli_sums(max_qubits=5),
+    beta=st.floats(0.0, 2.0),
+    t=st.floats(-2.0, 2.0),
+    fraction=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+)
+def test_ensemble_contraction_matches_superposition_oracle(data, h0, beta, t, fraction):
+    n = h0.n_qubits
+    h1 = data.draw(pauli_sums(max_qubits=n, min_qubits=n))
+    observable = data.draw(pauli_sums(max_qubits=n, min_qubits=n))
+    ts = bloch_propagate(h0, beta)
+    # Below the largest element, which lies on the diagonal of the positive
+    # Gibbs operator, so the ensemble keeps a nonzero trace.
+    ensemble = decompose(ts, fraction * np.abs(ts.rho).max())
+    value = ensemble_observable(ensemble, h1, observable, t)
+    expected = superposition_ensemble_value(ensemble, h1, observable, t)
+    assert value == pytest.approx(expected, abs=1e-12)

@@ -212,6 +212,15 @@ class TestAdiabaticCrossCheck:
         slow = adiabatic_sector_state(path, SectorSpec(1), total_time=120.0, steps=480)
         assert abs(slow.inner(exact)) > abs(fast.inner(exact))
 
+    @pytest.mark.parametrize("n_sites", [6, 8])
+    def test_sector_sweep_matches_full_space_sweep(self, n_sites):
+        path = thirring_mass_sweep(ThirringParams(n_sites, 0.5, 0.8))
+        swept = adiabatic_sector_state(path, SectorSpec(1), total_time=10.0, steps=40)
+        state = prepare_sector_state(path(0.0), SectorSpec(1))
+        for k in range(40):
+            state = exact_evolve(path((k + 0.5) / 40), 10.0 / 40, state)
+        np.testing.assert_allclose(swept.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
+
     def test_excited_ranks_rejected(self):
         params = ThirringParams(4, 0.5, 0.8)
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from latfield.fermions import jw_creation
 from latfield.models import ThirringParams, build_thirring, staggered_density_op, total_z
-from latfield.pauli import PauliSum, ResourceLimitError
+from latfield.pauli import InvariantViolation, PauliSum, ResourceLimitError
 from latfield.thermal import (
     PureStateEnsemble,
     ThermalState,
@@ -13,7 +14,7 @@ from latfield.thermal import (
     load_gibbs,
 )
 
-from oracles import dense_sum
+from oracles import dense_sum, superposition_ensemble_value
 
 
 H0 = build_thirring(ThirringParams(4, 0.6, 0.9))
@@ -129,17 +130,6 @@ class TestEnsembleObservable:
             expected = dense_quench_value(H0, h1, obs, beta, t)
             assert value == pytest.approx(expected, abs=1e-8), t
 
-    def test_trotter_fallback_above_cap(self):
-        # Forcing the cap to zero exercises the Trotterized basis evolution.
-        h1 = build_thirring(ThirringParams(4, 0.2, 1.2))
-        obs = staggered_density_op(4)
-        ensemble = decompose(bloch_propagate(H0, 0.8), threshold=0.05)
-        exact = ensemble_observable(ensemble, h1, obs, 0.7)
-        approx = ensemble_observable(
-            ensemble, h1, obs, 0.7, cap=0, trotter_steps_per_unit=512
-        )
-        assert approx == pytest.approx(exact, abs=1e-3)
-
     def test_permutation_invariance(self):
         ensemble = decompose(bloch_propagate(H0, 0.5), threshold=0.01)
         h1 = build_thirring(ThirringParams(4, 0.2, 1.2))
@@ -164,6 +154,22 @@ class TestEnsembleObservable:
         vb = ensemble_observable(ensemble, h1, b, 0.4)
         vc = ensemble_observable(ensemble, h1, combined, 0.4)
         assert vc == pytest.approx(va + 2.5 * vb, abs=1e-10)
+
+    def test_thermal6_matches_superposition_oracle(self):
+        h0 = build_thirring(ThirringParams(6, 0.5, 0.8))
+        h1 = build_thirring(ThirringParams(6, 0.3, 1.0))
+        obs = staggered_density_op(6)
+        ensemble = decompose(bloch_propagate(h0, 1.0), threshold=0.0)
+        assert len(ensemble.entries) == 3174
+        for t in (0.0, 1.1, 2.3):
+            value = ensemble_observable(ensemble, h1, obs, t)
+            expected = superposition_ensemble_value(ensemble, h1, obs, t)
+            assert value == pytest.approx(expected, abs=1e-12), t
+
+    def test_non_hermitian_observable_rejected(self):
+        ensemble = decompose(bloch_propagate(H0, 0.5), threshold=0.0)
+        with pytest.raises(InvariantViolation):
+            ensemble_observable(ensemble, H0, jw_creation(0, 4), 0.3)
 
     def test_empty_ensemble_rejected(self):
         empty = PureStateEnsemble(entries=(), n_qubits=4, trace_estimate=0.0)
