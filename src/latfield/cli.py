@@ -180,6 +180,8 @@ def _vqe_run(config: RunConfig, h: PauliSum, ansatz, starts: int = 1) -> dict:
             "energy": result.energy,
             "variance": result.variance,
             "evaluations": result.evaluations,
+            "energy_calls": result.energy_calls,
+            "gradient_calls": result.gradient_calls,
             "converged": result.converged,
             "stop_reason": result.stop_reason,
         },
@@ -231,8 +233,11 @@ def _run_phase_scan(config: RunConfig) -> dict:
             seed=config.seed,
         )
         rows = [(r.mass, r.energy, r.variance, r.order_parameter) for r in records]
-        summary["converged_points"] = sum(1 for r in records if r.converged)
-        summary["stop_reasons"] = dict(Counter(r.stop_reason for r in records))
+        runs = [r.optimization for r in records]
+        summary["converged_points"] = sum(1 for run in runs if run.converged)
+        summary["stop_reasons"] = dict(Counter(run.stop_reason for run in runs))
+        for key in ("energy_calls", "gradient_calls", "evaluations"):  # per reported mass
+            summary[key] = [getattr(run, key) for run in runs]
         if records[0].dense_order_parameter is not None:
             summary["dense_order_parameters"] = [r.dense_order_parameter for r in records]
     summary["steepest_change_mass"] = steepest_change(

@@ -179,12 +179,17 @@ class SpectralDecomposition:
             per_sector[sector] = cls(h, sector)
         return per_sector[sector]
 
+    def coordinates(self, amps: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
+        """``V^H a`` as ``conj(conj(a) V)``, reading the one array ``V``; only
+        its rows in ``support`` (every nonzero position of ``a``) if given."""
+        v = self.eigenvectors
+        if support is not None:
+            amps, v = amps[support], v[support]
+        return np.conj(np.conj(amps) @ v)
+
     def evolve_amplitudes(self, t: float, amps: np.ndarray) -> np.ndarray:
         """exp(-i H t) on amplitudes in the sector's coordinates."""
-        phases = np.exp(-1j * self.eigenvalues * t)
-        v = self.eigenvectors
-        # V^H a as conj(conj(a) V): both products read the one array V.
-        return v @ (phases * np.conj(np.conj(amps) @ v))
+        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * self.coordinates(amps))
 
     def evolve(self, t: float, s: StateVector) -> StateVector:
         return self.sector.embed(self.evolve_amplitudes(t, self.sector.restrict(s)))

@@ -190,36 +190,34 @@ def build_schwinger(params: SchwingerParams) -> PauliSum:
     * hopping ``1/(4a) (XX + YY)`` on every bond,
     * staggered mass ``m/2 (-1)^j Z_j``,
     * electric energy ``g^2 a / 2 sum_bonds L_j^2`` with
-      ``L_j = eps_0 + (1/2) sum_{i<=j} (Z_i + (-1)^i)``, expanded
-      symbolically into I/Z/ZZ terms.
+      ``L_j = c_j + (1/2) sum_{i<=j} Z_i`` and
+      ``c_j = eps_0 + (1/2) sum_{i<=j} (-1)^i``, expanded in closed form as
+      ``L_j^2 = c_j^2 + j/4 + c_j sum_{i<=j} Z_i
+      + (1/2) sum_{i<k<=j} Z_i Z_k``.  A ``Z_i Z_k`` string thus carries
+      ``(g^2 a / 4) (N - k)``, one share per bond from ``k`` on.
+
+    Strings are listed in the order that expansion first meets them.
     """
-    n = params.n_sites
-    a = params.spacing
-    pairs: list[tuple[float, str]] = []
+    n, a = params.n_sites, params.spacing
+    coefficients: dict[str, float] = {}
     for bond in range(1, n):
-        pairs.extend(_hopping_pairs(n, bond, 1.0 / (4.0 * a)))
-    for site in range(1, n + 1):
-        pairs.append(
-            (params.mass / 2.0 * parity(site), letters_at(n, {site - 1: "Z"}))
-        )
-    ham = PauliSum(n, pairs)
+        coefficients.update((s, c) for c, s in _hopping_pairs(n, bond, 1.0 / (4.0 * a)))
+    singles = [letters_at(n, {q: "Z"}) for q in range(n)]
+    if params.mass:
+        coefficients.update((singles[q], params.mass / 2.0 * parity(q + 1)) for q in range(n))
     electric_scale = params.coupling**2 * a / 2.0
-    if electric_scale != 0.0:
-        for bond in range(1, n):
-            flux = _flux_operator(bond, params)
-            ham = ham + electric_scale * flux.product(flux)
-    return ham
-
-
-def _flux_operator(bond: int, params: SchwingerParams) -> PauliSum:
-    """L on the bond right of ``bond`` (1-based), as an I/Z sum."""
-    n = params.n_sites
-    offset = params.boundary_field
-    pairs = []
-    for site in range(1, bond + 1):
-        pairs.append((0.5, letters_at(n, {site - 1: "Z"})))
-        offset += parity(site) / 2.0
-    return PauliSum(n, pairs, constant_offset=offset)
+    offset, flux = 0.0, params.boundary_field
+    for bond in range(1, n) if electric_scale != 0.0 else ():
+        flux += parity(bond) / 2.0  # c_j
+        offset += electric_scale * (bond * 0.25 + flux * flux)
+        for site in range(1, bond + 1):
+            if site < bond:
+                pair = letters_at(n, {site - 1: "Z", bond - 1: "Z"})
+                coefficients[pair] = electric_scale / 2.0 * (n - bond)
+            if flux:
+                single = singles[site - 1]
+                coefficients[single] = coefficients.get(single, 0.0) + electric_scale * flux
+    return PauliSum(n, [(c, s) for s, c in coefficients.items()], constant_offset=offset)
 
 
 def build_thirring(params: ThirringParams) -> PauliSum:

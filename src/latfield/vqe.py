@@ -9,15 +9,22 @@ local-Z layer carries one angle per qubit.  The Schwinger ansatz keeps the
 bare vacuum's zero charge, so it runs in that sector, of dimension
 C(N, N/2) instead of 2^N; the phase scan is that ansatz plus the objective.
 
-The optimizer is deterministic for a fixed seed: seeded multi-start,
-cyclic coordinate-wise golden-section refinement, then a Nelder-Mead
-polish.  Every objective call evaluates energy and variance together
-(the variance is free once H|psi> is in hand), and every optimization
-reports why it stopped.
+Every evaluation returns energy and variance together (the variance is
+free once H|psi> is in hand) and, when asked, the exact gradient by
+adjoint differentiation (Jones & Gacon, arXiv:2009.02823): the forward
+pass keeps each layer's output, and a backward pass carries
+``lam = H|psi>`` back through the inverse layers, reading each layer's
+derivative on the way.  A generator layer with an eigenbasis works in its
+coordinates, where a basis-state input is one row of the eigenvectors, so
+a 12-site energy-and-gradient evaluation of two XY layers costs six
+sector matrix-vector products against four for the energy alone.
 
-Objective evaluations at distinct parameter points are independent;
-optimizer state updates and all reductions run in fixed order, so results
-reproduce exactly for a fixed seed.
+The optimizer is scipy's L-BFGS-B on those evaluations, within a budget
+that counts energies plus gradients; a cold start at a stationary point
+descends from the best of seeded draws.  Every optimization reports why
+it stopped: gradient tolerance, budget, or a line search that could not
+lower the energy.  Evaluations and reductions run in fixed order, so
+results reproduce exactly for a fixed seed.
 """
 
 from __future__ import annotations
@@ -47,8 +54,6 @@ from .pauli import (
     expectation,
 )
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
 
 @dataclass(frozen=True)
 class ParamPoint:
@@ -69,9 +74,6 @@ class ParamPoint:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values)
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 @dataclass(frozen=True)
 class GeneratorLayer:
@@ -90,11 +92,29 @@ class GeneratorLayer:
     def arity(self) -> int:
         return 1
 
-    def apply(self, theta: float, amps: np.ndarray, sector: Sector) -> np.ndarray:
+    def forward(self, theta: float, amps: np.ndarray, sector: Sector, support=None):
+        """``(exp(-i theta G) amps, memo)``, where ``memo`` holds what
+        ``backward`` needs: the output's eigenbasis coordinates, or None when
+        the terms of G commute.  ``support`` lists every nonzero position of
+        ``amps`` when known."""
         if self.exact_product:
-            return CommutingExponential(self.generator, theta, sector).apply(amps)
+            return CommutingExponential(self.generator, theta, sector).apply(amps), None
         decomp = SpectralDecomposition.for_hamiltonian(self.generator, sector=sector)
-        return decomp.evolve_amplitudes(theta, amps)
+        coords = np.exp(-1j * theta * decomp.eigenvalues) * decomp.coordinates(amps, support)
+        return decomp.eigenvectors @ coords, coords
+
+    def backward(self, theta: float, lam: np.ndarray, out: np.ndarray, memo, sector, carry):
+        """``(dE/dtheta, lam before the layer, or None unless carry)`` from
+        ``lam``, the adjoint state at the layer's output ``out``: the
+        derivative is ``2 Im <lam|G|out>``, and ``lam`` goes back through the
+        inverse layer."""
+        if self.exact_product:
+            derivative = 2.0 * np.vdot(lam, sector.apply(self.generator, out)).imag
+            return derivative, (self.forward(-theta, lam, sector)[0] if carry else None)
+        decomp = SpectralDecomposition.for_hamiltonian(self.generator, sector=sector)
+        w, mu = decomp.eigenvalues, decomp.coordinates(lam)
+        carried = decomp.eigenvectors @ (np.exp(1j * theta * w) * mu) if carry else None
+        return 2.0 * np.vdot(mu, w * memo).imag, carried
 
 
 @dataclass(frozen=True)
@@ -108,8 +128,15 @@ class LocalZLayer:
     def arity(self) -> int:
         return self.n_qubits
 
-    def apply(self, thetas: np.ndarray, amps: np.ndarray, sector: Sector) -> np.ndarray:
-        return np.exp(-1j * self.half_delta * (sector.z_values @ thetas)) * amps
+    def forward(self, thetas: np.ndarray, amps: np.ndarray, sector: Sector, support=None):
+        """As ``GeneratorLayer.forward``, with no memo."""
+        return np.exp(-1j * self.half_delta * (sector.z_values @ thetas)) * amps, None
+
+    def backward(self, thetas, lam: np.ndarray, out: np.ndarray, memo, sector, carry):
+        """As ``GeneratorLayer.backward``, one derivative per qubit:
+        ``2 (delta/2) Im(conj(lam) out) . z_j``."""
+        derivative = 2.0 * self.half_delta * (np.imag(np.conj(lam) * out) @ sector.z_values)
+        return derivative, (self.forward(-thetas, lam, sector)[0] if carry else None)
 
 
 @dataclass(frozen=True)
@@ -124,7 +151,11 @@ class Ansatz:
     def __post_init__(self) -> None:
         if self.sector is None:
             object.__setattr__(self, "sector", Sector(self.initial_state.n_qubits))
-        self.sector.restrict(self.initial_state)  # raises if the state leaves it
+        # Restricted once (raising if it leaves the sector); kept with its support if sparse.
+        initial = self.sector.restrict(self.initial_state)
+        support = np.flatnonzero(initial)
+        object.__setattr__(self, "_initial", initial)
+        object.__setattr__(self, "_support", support if support.size < initial.size else None)
 
     @property
     def n_qubits(self) -> int:
@@ -134,20 +165,28 @@ class Ansatz:
     def parameter_count(self) -> int:
         return sum(layer.arity for layer in self.layers)
 
-    def amplitudes(self, point: "ParamPoint | Sequence[float]") -> np.ndarray:
-        """The prepared state as amplitudes in the ansatz's sector."""
+    def trajectory(self, point: "ParamPoint | Sequence[float]") -> tuple[np.ndarray, list]:
+        """``(prepared amplitudes, steps)``: the one forward pass, keeping
+        ``(layer, angle, output, memo)`` for every layer in order."""
         values = ParamPoint.coerce(point).as_array()
         if values.size != self.parameter_count:
             raise DimensionError(
                 f"ansatz takes {self.parameter_count} parameters, got {values.size}"
             )
-        amps = self.sector.restrict(self.initial_state)
-        cursor = 0
+        amps, support = self._initial, self._support
+        steps, cursor = [], 0
         for layer in self.layers:
             chunk = values[cursor : cursor + layer.arity]
             cursor += layer.arity
-            amps = layer.apply(chunk if layer.arity > 1 else float(chunk[0]), amps, self.sector)
-        return amps
+            angle = chunk if layer.arity > 1 else float(chunk[0])
+            amps, memo = layer.forward(angle, amps, self.sector, support)
+            support = None
+            steps.append((layer, angle, amps, memo))
+        return amps, steps
+
+    def amplitudes(self, point: "ParamPoint | Sequence[float]") -> np.ndarray:
+        """The prepared state as amplitudes in the ansatz's sector."""
+        return self.trajectory(point)[0]
 
     def prepare(self, point: "ParamPoint | Sequence[float]") -> StateVector:
         return self.sector.embed(self.amplitudes(point))
@@ -158,10 +197,15 @@ class VqeResult:
     best_params: ParamPoint
     energy: float
     variance: float
-    evaluations: int
+    energy_calls: int
+    gradient_calls: int
     trace: tuple[tuple[float, float, tuple[float, ...]], ...]
     converged: bool
     stop_reason: str
+
+    @property
+    def evaluations(self) -> int:
+        return self.energy_calls + self.gradient_calls
 
 
 # -- ansatz constructors -------------------------------------------------
@@ -171,16 +215,10 @@ def _single_excitation_generator(i: int, j: int, n: int) -> PauliSum:
     """Hermitian G with exp(-i theta G) = exp(theta (a_i^dag a_j - a_j^dag a_i))."""
     from .fermions import jw_annihilation, jw_creation
 
-    raising = jw_creation(i, n).product(jw_annihilation(j, n))
-    lowering = jw_creation(j, n).product(jw_annihilation(i, n))
-    antiherm = raising + (-1.0) * lowering
-    # a_i^dag a_j - a_j^dag a_i is anti-Hermitian; i * it is Hermitian, and
-    # exp(theta * antiherm) = exp(-i theta G) with G = i * antiherm.
-    return PauliSum(
-        n,
-        [(1j * c, s) for s, c in antiherm.items()],
-        constant_offset=1j * antiherm.constant_offset,
-    )
+    # a_i^dag a_j - a_j^dag a_i is anti-Hermitian, and i times it is G; for
+    # i != j it has no identity component.
+    hop = jw_creation(i, n).product(jw_annihilation(j, n))
+    return PauliSum(n, [(1j * c, s) for s, c in (hop - hop.adjoint()).items()])
 
 
 def ucc_deuteron_ansatz(level_count: int) -> Ansatz:
@@ -217,6 +255,32 @@ def hva_schwinger_ansatz(params: ResourceParams, n_layers: int) -> Ansatz:
 # -- objective -----------------------------------------------------------
 
 
+def energy_and_gradient(
+    h: PauliSum, ansatz: Ansatz, point: "ParamPoint | Sequence[float]", gradient: bool = True
+) -> tuple[float, float, np.ndarray | None]:
+    """``energy_and_variance`` plus, unless ``gradient`` is False, the exact
+    gradient of the energy by adjoint differentiation: a backward pass
+    carries ``lam = H|psi>`` through the inverse layers and reads each
+    layer's derivative at its output ``psi``, ``2 Im <lam|G|psi>`` for a
+    generator layer and ``2 (delta/2) Im(conj(lam) psi) . z_j`` for a
+    local-Z layer."""
+    if h.n_qubits != ansatz.n_qubits:
+        raise DimensionError("Hamiltonian and ansatz qubit counts differ")
+    amps, steps = ansatz.trajectory(point)
+    lam = ansatz.sector.apply(h, amps)
+    energy = complex(np.vdot(amps, lam))
+    if abs(energy.imag) > 1e-9 * max(1.0, abs(energy.real)):
+        raise InvariantViolation("energy has an imaginary residue")
+    variance = np.vdot(lam, lam).real - energy.real**2
+    if not gradient:
+        return energy.real, variance, None
+    parts = []
+    for k, (layer, angle, out, memo) in reversed(list(enumerate(steps))):
+        derivative, lam = layer.backward(angle, lam, out, memo, ansatz.sector, carry=k > 0)
+        parts.append(derivative)
+    return energy.real, variance, np.hstack(parts[::-1]) if parts else np.zeros(0)
+
+
 def energy_and_variance(
     h: PauliSum, ansatz: Ansatz, point: "ParamPoint | Sequence[float]"
 ) -> tuple[float, float]:
@@ -226,15 +290,24 @@ def energy_and_variance(
     <H^2> comes from applying H once and taking the norm of H|psi>; the
     operator is never squared symbolically.
     """
-    if h.n_qubits != ansatz.n_qubits:
-        raise DimensionError("Hamiltonian and ansatz qubit counts differ")
-    amps = ansatz.amplitudes(point)
-    hs = ansatz.sector.apply(h, amps)
-    energy = complex(np.vdot(amps, hs))
-    if abs(energy.imag) > 1e-9 * max(1.0, abs(energy.real)):
-        raise InvariantViolation("energy has an imaginary residue")
-    second_moment = np.vdot(hs, hs).real
-    return energy.real, second_moment - energy.real**2
+    return energy_and_gradient(h, ansatz, point, gradient=False)[:2]
+
+
+class _EnergyObjective:
+    """``minimize``'s objective for <H> on an ansatz: keeps the variance at
+    the lowest energy seen and, given a list, every evaluation in it."""
+
+    def __init__(self, h: PauliSum, ansatz: Ansatz, trace: list | None = None):
+        self.h, self.ansatz, self.trace = h, ansatz, trace
+        self.energy = self.variance = np.inf
+
+    def __call__(self, values: np.ndarray, gradient: bool):
+        energy, variance, grad = energy_and_gradient(self.h, self.ansatz, values, gradient)
+        if self.trace is not None:
+            self.trace.append((energy, variance, tuple(float(v) for v in values)))
+        if energy < self.energy:
+            self.energy, self.variance = energy, variance
+        return energy, grad
 
 
 class _BudgetExhausted(Exception):
@@ -242,147 +315,102 @@ class _BudgetExhausted(Exception):
 
 
 class _CountingObjective:
-    """Budget-limited wrapper tracking the best point seen."""
+    """Budget-limited wrapper tracking the best point seen.  An energy
+    counts 1 against the budget and its gradient 1 more."""
 
-    def __init__(self, func: Callable[[np.ndarray], float], budget: int):
+    def __init__(self, func: Callable, budget: int):
         self.func = func
         self.budget = budget
-        self.count = 0
+        self.energy_calls = self.gradient_calls = 0
         self.best_value = np.inf
         self.best_point: np.ndarray | None = None
 
-    def __call__(self, values: np.ndarray) -> float:
-        if self.count >= self.budget:
+    @property
+    def remaining(self) -> int:
+        return self.budget - self.energy_calls - self.gradient_calls
+
+    def __call__(self, values: np.ndarray, gradient: bool = True):
+        if self.remaining < 1 + gradient:
             raise _BudgetExhausted
-        self.count += 1
-        value = self.func(np.asarray(values, dtype=float))
+        self.energy_calls += 1
+        self.gradient_calls += gradient
+        values = np.array(values, dtype=float)
+        value, grad = self.func(values, gradient)
         if value < self.best_value:
             self.best_value = value
-            self.best_point = np.asarray(values, dtype=float).copy()
-        return value
+            self.best_point = values
+        return value, grad
 
 
 @dataclass(frozen=True)
 class MinimizeOutcome:
-    """``stop_reason`` is "tolerance" (a golden-section cycle or a polish met
-    its tolerance; ``converged``), "budget" (too little budget remained) or
-    "stalled" (a polish stopped improving)."""
+    """The best point seen and its value.  ``stop_reason`` is "tolerance"
+    (``converged``: the projected gradient fell below 1e-6), "budget" or
+    "stalled" (the line search could not lower the value).  ``evaluations``
+    counts energies plus gradients, as the budget does."""
 
     point: np.ndarray
     value: float
-    evaluations: int
+    energy_calls: int
+    gradient_calls: int
     converged: bool
     stop_reason: str
 
-
-def _golden_line_search(
-    objective: Callable[[np.ndarray], float],
-    point: np.ndarray,
-    coord: int,
-    width: float,
-    iterations: int = 18,
-) -> tuple[np.ndarray, float]:
-    """Golden-section minimum along one coordinate inside [x - w, x + w]."""
-
-    def at(x: float) -> float:
-        trial = point.copy()
-        trial[coord] = x
-        return objective(trial)
-
-    lo, hi = point[coord] - width, point[coord] + width
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = at(x1), at(x2)
-    for _ in range(iterations):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = at(x2)
-    best_x, best_f = (x1, f1) if f1 <= f2 else (x2, f2)
-    out = point.copy()
-    out[coord] = best_x
-    return out, best_f
+    @property
+    def evaluations(self) -> int:
+        return self.energy_calls + self.gradient_calls
 
 
 def minimize(
-    func: Callable[[np.ndarray], float],
+    func: Callable[[np.ndarray, bool], tuple[float, np.ndarray | None]],
     initial: Sequence[float],
     budget: int,
     seed: int = 0,
     starts: int = 1,
-    cycle_tolerance: float = 1e-8,
-    line_width: float = np.pi / 2,
-    golden_cycles: int = 60,
 ) -> MinimizeOutcome:
-    """Deterministic derivative-free minimization within an evaluation budget:
-    seeded multi-start, cyclic golden-section coordinate refinement with a
-    shrinking window, then a Nelder-Mead polish on the remaining budget.
+    """Deterministic L-BFGS-B minimization within an evaluation budget.
 
-    ``golden_cycles=0`` skips straight to the polish, the efficient setting
-    for warm starts with many parameters.
+    ``func(values, gradient)`` returns ``(value, gradient)``, the gradient
+    read only when asked for.  The budget counts every value and every
+    gradient: one L-BFGS-B evaluation costs 2.  With ``starts > 1`` the
+    descent starts from the lowest of the initial point and ``starts - 1``
+    seeded draws within pi/2 of it per angle (valued alone), passing over
+    an initial point whose gradient is exactly zero: L-BFGS-B cannot leave it.
     """
     # Imported here: it is this module's only use of scipy.optimize, whose
     # import takes about half a second.
     import scipy.optimize
 
-    start_point = np.atleast_1d(np.asarray(initial, dtype=float))
-    n_params = start_point.size
-    if budget < n_params + 1:
-        raise ValueError("budget must be at least parameter_count + 1")
+    start = np.atleast_1d(np.asarray(initial, dtype=float))
+    if budget < 2:
+        raise ValueError("budget must allow one energy-and-gradient evaluation (2)")
     rng = np.random.default_rng(seed)
     objective = _CountingObjective(func, budget)
-    stop_reason = None
     try:
-        objective(start_point)
-        for _ in range(max(0, starts - 1)):
-            objective(start_point + rng.uniform(-line_width, line_width, n_params))
-        current = objective.best_point.copy()
-        current_value = objective.best_value
-        width = line_width
-        for _cycle in range(golden_cycles):
-            cycle_start = current_value
-            for coord in range(n_params):
-                current, current_value = _golden_line_search(
-                    objective, current, coord, width
-                )
-            width = max(width * 0.5, 1e-3)
-            if abs(cycle_start - current_value) < cycle_tolerance:
-                stop_reason = "tolerance"
-                break
-        # Nelder-Mead polish, restarted with a fresh simplex while budget
-        # remains and progress continues.
-        step = 0.05
-        while objective.budget - objective.count > 2 * n_params:
-            before = objective.best_value
-            result = scipy.optimize.minimize(
-                objective,
-                objective.best_point,
-                method="Nelder-Mead",
-                options={
-                    "maxfev": objective.budget - objective.count,
-                    "xatol": 1e-10,
-                    "fatol": 1e-12,
-                    "initial_simplex": _initial_simplex(objective.best_point, step),
-                },
-            )
-            if result.success:
-                stop_reason = "tolerance"
-            step *= 0.5
-            if before - objective.best_value < cycle_tolerance:
-                break
-        if stop_reason is None:
-            remaining = objective.budget - objective.count
-            stop_reason = "budget" if remaining <= 2 * n_params else "stalled"
+        if starts > 1:
+            value, grad = objective(start)
+            candidates = [(value, start)] if grad.any() else []
+            for _ in range(starts - 1):
+                draw = start + rng.uniform(-np.pi / 2, np.pi / 2, start.size)
+                candidates.append((objective(draw, gradient=False)[0], draw))
+            start = min(candidates, key=lambda candidate: candidate[0])[1]
+        result = scipy.optimize.minimize(
+            objective,
+            start,
+            jac=True,
+            method="L-BFGS-B",
+            # A memory longer than the parameter count: on these ansaetze
+            # L-BFGS-B then needs about a third of the evaluations.
+            options={"maxfun": objective.remaining // 2, "gtol": 1e-6, "ftol": 0, "maxcor": 100},
+        )
+        stop_reason = {0: "tolerance", 1: "budget"}.get(result.status, "stalled")
     except _BudgetExhausted:
         stop_reason = "budget"
     return MinimizeOutcome(
         point=objective.best_point,
         value=objective.best_value,
-        evaluations=objective.count,
+        energy_calls=objective.energy_calls,
+        gradient_calls=objective.gradient_calls,
         converged=stop_reason == "tolerance",
         stop_reason=stop_reason,
     )
@@ -395,51 +423,29 @@ def optimize(
     budget: int,
     seed: int = 0,
     starts: int = 1,
-    cycle_tolerance: float = 1e-8,
-    golden_cycles: int = 60,
 ) -> VqeResult:
-    """Derivative-free energy minimization within an evaluation budget.
+    """Energy minimization by ``minimize`` on adjoint energy-and-gradient
+    evaluations, within a budget that counts energies plus gradients.
 
     The best-seen point is never worse than the initial one; exhausting the
-    budget is reported through ``stop_reason``, not raised.
+    budget is reported through ``stop_reason``, not raised.  ``trace`` holds
+    every evaluation in order.
     """
     trace: list[tuple[float, float, tuple[float, ...]]] = []
-    best = {"energy": np.inf, "variance": np.inf}
-
-    def func(values: np.ndarray) -> float:
-        energy, variance = energy_and_variance(h, ansatz, values)
-        trace.append((energy, variance, tuple(float(v) for v in values)))
-        if energy < best["energy"]:
-            best["energy"] = energy
-            best["variance"] = variance
-        return energy
-
+    objective = _EnergyObjective(h, ansatz, trace)
     outcome = minimize(
-        func,
-        ParamPoint.coerce(initial).as_array(),
-        budget,
-        seed=seed,
-        starts=starts,
-        cycle_tolerance=cycle_tolerance,
-        golden_cycles=golden_cycles,
+        objective, ParamPoint.coerce(initial).as_array(), budget, seed=seed, starts=starts
     )
     return VqeResult(
         best_params=ParamPoint(tuple(outcome.point)),
         energy=outcome.value,
-        variance=best["variance"],
-        evaluations=outcome.evaluations,
+        variance=objective.variance,
+        energy_calls=outcome.energy_calls,
+        gradient_calls=outcome.gradient_calls,
         trace=tuple(trace),
         converged=outcome.converged,
         stop_reason=outcome.stop_reason,
     )
-
-
-def _initial_simplex(point: np.ndarray, step: float) -> np.ndarray:
-    n = point.size
-    simplex = np.tile(point, (n + 1, 1))
-    for k in range(n):
-        simplex[k + 1, k] += step
-    return simplex
 
 
 # -- mass scan ------------------------------------------------------------
@@ -452,8 +458,7 @@ class ScanRecord:
     variance: float
     order_parameter: float
     dense_order_parameter: float | None
-    converged: bool
-    stop_reason: str
+    optimization: MinimizeOutcome  # of the optimization whose result it is
 
 
 def phase_scan(
@@ -491,25 +496,12 @@ def phase_scan(
     # Staggered density (1/N) sum_j (-1)^j Z_j on the sector's basis states.
     density = ansatz.sector.z_values @ np.array([parity(j) for j in range(1, n + 1)]) / n
 
-    def run_point(h: PauliSum, warm: np.ndarray, seed_k: int, cold: bool):
-        best = {"variance": np.inf, "energy": np.inf}
-
-        def objective(values: np.ndarray) -> float:
-            energy, variance = energy_and_variance(h, ansatz, values)
-            if energy < best["energy"]:
-                best["energy"] = energy
-                best["variance"] = variance
-            return energy
-
-        outcome = minimize(
-            objective,
-            warm,
-            budget=budget,
-            seed=seed_k,
-            starts=4 if cold else 1,
-            golden_cycles=60 if cold else 0,
-        )
-        return outcome, best["variance"]
+    def run_point(h: PauliSum, warm: np.ndarray, seed_k: int):
+        # The gradient vanishes at the all-zero point, so a warm start still
+        # there (no descent has yet beaten the bare vacuum) starts cold.
+        objective = _EnergyObjective(h, ansatz)
+        outcome = minimize(objective, warm, budget, seed=seed_k, starts=1 if warm.any() else 4)
+        return outcome, objective.variance
 
     # Descending pass with burn-in annealing from above the scan window.
     # Every mass's Hamiltonian is built once; the window's are kept for the
@@ -520,7 +512,7 @@ def phase_scan(
     warm = np.zeros(ansatz.parameter_count)
     for k, mass in enumerate(burn_in + list(reversed(masses))):
         h = build_schwinger(replace(template, mass=mass))
-        outcome, variance = run_point(h, warm, seed + k, cold=(k == 0))
+        outcome, variance = run_point(h, warm, seed + k)
         warm = outcome.point
         if k >= len(burn_in):
             found[mass] = (outcome, variance)
@@ -530,7 +522,7 @@ def phase_scan(
     # tracking across the transition.
     warm = found[masses[0]][0].point
     for k, mass in enumerate(masses):
-        outcome, variance = run_point(hamiltonians[mass], warm, seed + 1000 + k, cold=False)
+        outcome, variance = run_point(hamiltonians[mass], warm, seed + 1000 + k)
         if outcome.value < found[mass][0].value:
             found[mass] = (outcome, variance)
         warm = found[mass][0].point
@@ -550,8 +542,7 @@ def phase_scan(
                 variance=variance,
                 order_parameter=float(density @ np.abs(ansatz.amplitudes(outcome.point)) ** 2),
                 dense_order_parameter=dense_value,
-                converged=outcome.converged,
-                stop_reason=outcome.stop_reason,
+                optimization=outcome,
             )
         )
     return records

@@ -150,3 +150,30 @@ def superposition_ensemble_value(ensemble, h1, observable, t):
             value = (e_plus - e_minus) / 2.0 + 1j * (e_iplus - e_iminus) / 2.0
         total += (chi * value).real
     return total / ensemble.trace_estimate
+
+
+def product_schwinger(params):
+    """The Schwinger Hamiltonian with every ``L_j^2`` expanded through
+    ``PauliSum.product``, term by term: the closed-form builder's oracle."""
+    from latfield.models import _hopping_pairs, parity
+    from latfield.pauli import PauliSum, letters_at
+
+    n = params.n_sites
+    a = params.spacing
+    pairs = []
+    for bond in range(1, n):
+        pairs.extend(_hopping_pairs(n, bond, 1.0 / (4.0 * a)))
+    for site in range(1, n + 1):
+        pairs.append((params.mass / 2.0 * parity(site), letters_at(n, {site - 1: "Z"})))
+    ham = PauliSum(n, pairs)
+    electric_scale = params.coupling**2 * a / 2.0
+    if electric_scale != 0.0:
+        for bond in range(1, n):
+            # L on the bond right of ``bond`` (1-based), as an I/Z sum.
+            flux_pairs = [(0.5, letters_at(n, {site - 1: "Z"})) for site in range(1, bond + 1)]
+            offset = params.boundary_field
+            for site in range(1, bond + 1):
+                offset += parity(site) / 2.0
+            flux = PauliSum(n, flux_pairs, constant_offset=offset)
+            ham = ham + electric_scale * flux.product(flux)
+    return ham

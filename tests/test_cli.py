@@ -11,7 +11,7 @@ from latfield import cli
 from latfield.cli import main
 from latfield.evolution import make_plan
 from latfield.models import SchwingerParams, bare_vacuum, build_schwinger, staggered_charge_op
-from latfield.pauli import deserialize
+from latfield.pauli import deserialize, expectation
 
 from oracles import apply_string
 
@@ -212,6 +212,49 @@ budget = 120
         header, rows = read_rows(out / "vqe_run.csv")
         assert header[:3] == ["evaluation", "energy", "variance"]
         assert len(header) == 3 + 1 + 4  # one global angle + four local angles
+
+
+    def test_cold_schwinger_vqe_leaves_the_bare_vacuum(self, tmp_path):
+        # The all-zero start is a stationary point with an exactly zero
+        # gradient; the seeded draws give the descent its way down.
+        ini = """
+[model]
+n_sites = 6
+mass = -0.5
+coupling = 2.0
+spacing = 0.5
+
+[algorithm]
+layers = 4
+budget = 200
+"""
+        code, out = run_cli("schwinger-vqe", ini, tmp_path, "cold")
+        assert code == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        h = build_schwinger(SchwingerParams(6, -0.5, 2.0, spacing=0.5))
+        vacuum_energy = expectation(h, bare_vacuum(6))
+        assert summary["energy"] < vacuum_energy - 0.1
+
+    @pytest.mark.parametrize("subcommand", ["deuteron-vqe", "schwinger-vqe", "phase-scan"])
+    def test_manifest_counts_energy_and_gradient_calls(self, tmp_path, subcommand):
+        ini = {
+            "deuteron-vqe": DEUTERON_INI,
+            "schwinger-vqe": "[model]\nn_sites = 4\nmass = 0.3\ncoupling = 1.0\n\n"
+            "[algorithm]\nlayers = 2\nbudget = 41\n",
+            "phase-scan": "[model]\nn_sites = 4\ncoupling = 2.0\nspacing = 0.5\n\n"
+            "[algorithm]\nmass_min = -0.5\nmass_max = 0.5\nmass_step = 0.5\n"
+            "method = vqe\nlayers = 2\nbudget = 41\n",
+        }[subcommand]
+        budget = 300 if subcommand == "deuteron-vqe" else 41
+        code, out = run_cli(subcommand, ini, tmp_path, "calls")
+        assert code == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        calls = (summary["energy_calls"], summary["gradient_calls"], summary["evaluations"])
+        # phase-scan lists the calls per reported mass.
+        runs = zip(*calls) if subcommand == "phase-scan" else [calls]
+        for energy_calls, gradient_calls, evaluations in runs:
+            assert gradient_calls >= 1
+            assert energy_calls + gradient_calls == evaluations <= budget
 
 
 class TestPhaseScanCli:

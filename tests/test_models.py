@@ -30,6 +30,8 @@ from latfield.pauli import (
     to_dense,
 )
 
+from oracles import product_schwinger
+
 
 def commutator_norm(a, b):
     return np.abs(a @ b - b @ a).max()
@@ -89,6 +91,31 @@ class TestBuildSchwinger:
         for letters, value in coeffs.items():
             assert h.coefficient_of(letters).real == pytest.approx(value, abs=1e-13), letters
         assert len(h) == sum(1 for v in coeffs.values() if abs(v) > 1e-14)
+
+    @pytest.mark.parametrize("n", range(2, 17, 2))
+    @pytest.mark.parametrize("boundary_field", [0.0, 0.37])
+    def test_closed_form_matches_product_expansion(self, n, boundary_field):
+        rng = np.random.default_rng(n)
+        drawn = (rng.uniform(-2.0, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.3, 1.5))
+        for mass, coupling, spacing in (drawn, (0.0, 1.3, 0.5)):
+            params = SchwingerParams(n, mass, coupling, spacing, boundary_field)
+            got, expected = build_schwinger(params), product_schwinger(params)
+            assert [s for s, _ in got.items()] == [s for s, _ in expected.items()]
+            for (_, a), (_, b) in zip(got.items(), expected.items()):
+                assert abs(a - b) <= 1e-14 * max(1.0, abs(b))
+            offset = expected.constant_offset
+            assert abs(got.constant_offset - offset) <= 1e-14 * max(1.0, abs(offset))
+
+    def test_closed_form_matches_product_expansion_through_cancellations(self):
+        # With m/2 = g^2 a / 4 = 1/4, a running Z coefficient of the
+        # term-by-term expansion passes through zero and is dropped, so that
+        # builder lists the string again later.  The operators still agree.
+        params = SchwingerParams(6, 0.5, 1.0)
+        got, expected = build_schwinger(params), product_schwinger(params)
+        assert dict(got.items()).keys() == dict(expected.items()).keys()
+        for letters, value in expected.items():
+            assert abs(got.coefficient_of(letters) - value) <= 1e-14
+        assert got.constant_offset == pytest.approx(expected.constant_offset, abs=1e-14)
 
     def test_boundary_field_shift_touches_only_diagonal_linear_terms(self):
         base = build_schwinger(SchwingerParams(6, 0.3, 1.0, boundary_field=0.0))

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latfield.evolution import exact_evolve
 from latfield.fermions import jw_number
@@ -17,6 +21,7 @@ from latfield.models import (
 )
 from latfield.pauli import PauliSum, StateVector, expectation, to_dense
 from latfield.vqe import (
+    energy_and_gradient,
     energy_and_variance,
     hva_schwinger_ansatz,
     minimize,
@@ -185,9 +190,60 @@ class TestEnergyAndVariance:
             assert variance >= -1e-10
 
 
+@st.composite
+def ansatz_points(draw):
+    """A Hamiltonian, an ansatz for it and a random parameter point: the HVA
+    sector ansatz at 4-8 sites with 2-6 layers, or a UCC deuteron ansatz
+    (commuting generators)."""
+    kind = draw(st.sampled_from(["hva", "ucc"]))
+    if kind == "hva":
+        n = draw(st.sampled_from([4, 6, 8]))
+        ansatz = hva_schwinger_ansatz(
+            ResourceParams(n, 1.0, 1.5, 0.3, 1.0), draw(st.integers(2, 6))
+        )
+        h = build_schwinger(SchwingerParams(n, draw(st.floats(-1.5, 1.5)), 2.0, spacing=0.5))
+    else:
+        levels = draw(st.sampled_from([2, 3]))
+        ansatz, h = ucc_deuteron_ansatz(levels), build_deuteron(levels)
+    angles = st.floats(-np.pi, np.pi, allow_nan=False)
+    count = ansatz.parameter_count
+    values = draw(st.lists(angles, min_size=count, max_size=count))
+    return h, ansatz, np.array(values)
+
+
+class TestGradient:
+    @settings(max_examples=40, deadline=None)
+    @given(case=ansatz_points())
+    def test_adjoint_gradient_matches_central_differences(self, case):
+        h, ansatz, values = case
+        energy, variance, gradient = energy_and_gradient(h, ansatz, values)
+        plain_energy, plain_variance = energy_and_variance(h, ansatz, values)
+        assert abs(energy - plain_energy) <= 1e-12
+        assert abs(variance - plain_variance) <= 1e-12
+        step = 1e-6
+        for k in range(values.size):
+            shift = np.zeros(values.size)
+            shift[k] = step
+            upper = energy_and_variance(h, ansatz, values + shift)[0]
+            lower = energy_and_variance(h, ansatz, values - shift)[0]
+            assert abs(gradient[k] - (upper - lower) / (2 * step)) <= 1e-7, k
+
+    def test_gradient_vanishes_exactly_at_the_zero_point(self):
+        # The bare vacuum and every real layer at angle zero keep the state
+        # and H|psi> real, so every derivative's imaginary part is exactly 0.
+        for n, layers in ((4, 3), (6, 4), (8, 6)):
+            ansatz = hva_schwinger_ansatz(ResourceParams(n, 1.0, 1.5, 0.3, 1.0), layers)
+            h = build_schwinger(SchwingerParams(n, -0.5, 2.0, spacing=0.5))
+            _, _, gradient = energy_and_gradient(h, ansatz, np.zeros(ansatz.parameter_count))
+            assert gradient.shape == (ansatz.parameter_count,)
+            assert not gradient.any()
+
+
 class TestOptimize:
     def test_synthetic_quadratic(self):
-        outcome = minimize(lambda x: (x[0] - 0.3) ** 2, [0.0], budget=200, seed=0)
+        outcome = minimize(
+            lambda x, gradient: ((x[0] - 0.3) ** 2, 2.0 * (x - 0.3)), [0.0], budget=200, seed=0
+        )
         assert outcome.point[0] == pytest.approx(0.3, abs=1e-6)
         assert outcome.converged
 
@@ -260,6 +316,19 @@ class TestPhaseScan:
         # Deep positive mass pins the bare vacuum, deep negative the flipped one.
         assert records[-1].order_parameter < -0.8
         assert records[0].order_parameter > 0.4
+
+    def test_scan_leaves_the_vacuum_after_a_cold_start_that_stays(self):
+        # With seed 6 the first cold start's descent stays above the bare
+        # vacuum's energy, so it returns the all-zero point, whose gradient
+        # is exactly zero: the next point has to start cold as well.
+        template = SchwingerParams(12, 0.0, 2.0, spacing=0.5)
+        resource = ResourceParams(12, 1.0, 1.5, 0.3, 1.0)
+        masses = [-0.7604, -0.6604, -0.5604]
+        records = phase_scan(masses, template, resource, n_layers=4, budget=60, seed=6)
+        for record in records:
+            h = build_schwinger(replace(template, mass=record.mass))
+            assert record.energy < expectation(h, bare_vacuum(12)) - 1.0
+            assert record.order_parameter > -0.9
 
     def test_masses_must_be_sorted(self):
         template = SchwingerParams(4, 0.0, 1.0)
