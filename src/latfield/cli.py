@@ -128,11 +128,11 @@ def _run_schwinger_quench(config: RunConfig) -> dict:
     h = build_schwinger(params)
     n = params.n_sites
     charge_op = staggered_charge_op(n)
-    state = bare_vacuum(n)
-    # The bare vacuum is one basis state: the sweeps run in its charge sector
-    # (they raise if h leaks out of it), and the charge column certifies it.
-    sector = Sector.of_state(state)
-    plan = make_plan(h, algo["t_max"], algo["steps"], sector)
+    # Swept and measured in the bare vacuum's zero-charge sector (a sweep
+    # raises if h leaks out of it); the charge column certifies it.
+    sector = Sector.of_charge(n, 0)
+    state = bare_vacuum(n).on(sector)
+    plan = make_plan(h, algo["t_max"], algo["steps"])
     dt = algo["t_max"] / algo["steps"]
     record_every = algo["record_every"]
     if record_every < 1:
@@ -142,9 +142,9 @@ def _run_schwinger_quench(config: RunConfig) -> dict:
         return (
             step,
             step * dt,
-            expectation(h, s, sector),
-            particle_density(s, n, sector),
-            expectation(charge_op, s, sector),
+            expectation(h, s),
+            particle_density(s, n),
+            expectation(charge_op, s),
         )
 
     rows = [row(0, state)]
@@ -293,7 +293,7 @@ def _run_thirring_correlator(config: RunConfig) -> dict:
         "files": [corr_path, pdf_path],
         "hamiltonian": h,
         "summary": {
-            "state_energy": expectation(h, psi, Sector.of_state(psi)),
+            "state_energy": expectation(h, psi),
             "pdf_time": float(times[slice_index]),
             "quadrature": spectral.metadata,
         },
@@ -351,7 +351,7 @@ def _run_hadronic_tensor(config: RunConfig) -> dict:
         "files": [path],
         "hamiltonian": h,
         "summary": {
-            "state_energy": expectation(h, psi, Sector.of_state(psi)),
+            "state_energy": expectation(h, psi),
             "momentum": algo["momentum"],
         },
     }

@@ -9,9 +9,9 @@ mask) and only the group order shapes the Trotter error.  A dense
 eigendecomposition propagator serves as the exact reference; the error
 diagnostic is the l2 distance between the two paths.  Its sector block is
 decomposed in real arithmetic whenever it has no imaginary part, and its
-one eigenvector array serves both ``V`` and ``V^H``.  A plan carries the
-sector its sweeps run on: the full space by default, or a charge sector
-that the Hamiltonian and each of its groups map into themselves.
+one eigenvector array serves both ``V`` and ``V^H``.  Sweeps run in the
+initial state's sector, which each commuting group must map into itself,
+and yield states in that sector.
 
 Plans are immutable and shareable; one evolution mutates one state under a
 single-writer contract, and independent trajectories (e.g. points of a
@@ -43,23 +43,17 @@ from .pauli import (
 @dataclass(frozen=True)
 class EvolutionPlan:
     """A Trotterized evolution: Hamiltonian terms partitioned into
-    commuting-within-group sets, total time, sweep count, and the sector
-    the sweeps run on (the full space when None is given)."""
+    commuting-within-group sets, total time and sweep count."""
 
     hamiltonian: PauliSum
     total_time: float
     steps: int
     grouping: tuple[tuple[int, ...], ...]
     terms: tuple[PauliTerm, ...] = field(repr=False)
-    sector: Sector | None = None
 
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.sector is None:
-            object.__setattr__(self, "sector", Sector(self.hamiltonian.n_qubits))
-        else:
-            self.sector.compile(self.hamiltonian)  # raises if h leaks out of it
         covered = sorted(i for group in self.grouping for i in group)
         if covered != list(range(len(self.terms))):
             raise InvariantViolation("grouping must partition the term set")
@@ -87,31 +81,29 @@ def greedy_commuting_groups(terms: tuple[PauliTerm, ...]) -> tuple[tuple[int, ..
     return tuple(tuple(g) for g in groups)
 
 
-def make_plan(
-    h: PauliSum, total_time: float, steps: int, sector: Sector | None = None
-) -> EvolutionPlan:
+def make_plan(h: PauliSum, total_time: float, steps: int) -> EvolutionPlan:
     if not h.hermitian:
         raise InvariantViolation("evolution requires a Hermitian Hamiltonian")
     terms = h.terms
     groups = greedy_commuting_groups(terms)
-    return EvolutionPlan(h, float(total_time), int(steps), groups, terms, sector)
+    return EvolutionPlan(h, float(total_time), int(steps), groups, terms)
 
 
 def trotter_states(
     plan: EvolutionPlan, s0: StateVector, reverse: bool = False
 ) -> Iterator[StateVector]:
     """Yield the state after each sweep (``plan.steps`` items), swept on the
-    plan's sector amplitudes.  Raises InvariantViolation if ``s0`` has
-    amplitude outside the sector or a group maps the sector out of itself."""
+    amplitudes of ``s0``'s sector and in it.  Raises InvariantViolation,
+    at the first sweep, if a group maps the sector out of itself."""
     if s0.n_qubits != plan.hamiltonian.n_qubits:
         raise DimensionError("state and Hamiltonian qubit counts differ")
-    n = plan.hamiltonian.n_qubits
+    n, sector = plan.hamiltonian.n_qubits, s0.sector
     dt = plan.total_time / plan.steps
-    amps = plan.sector.restrict(s0)
+    amps = s0.sector_amplitudes
     factors = []
     for group in plan.grouping[::-1] if reverse else plan.grouping:
         part = PauliSum(n, [(plan.terms[i].coefficient, plan.terms[i].letters) for i in group])
-        factors.append(CommutingExponential(part, dt, plan.sector))
+        factors.append(CommutingExponential(part, dt, sector))
     # The identity component commutes with everything; its phase is exact.
     offset_phase = np.exp(-1j * complex(plan.hamiltonian.constant_offset).real * dt)
     for _ in range(plan.steps):
@@ -119,7 +111,7 @@ def trotter_states(
             amps = factor.apply(amps)
         # A new array every sweep: a yielded state is never overwritten.
         amps = offset_phase * amps
-        yield plan.sector.embed(amps)
+        yield StateVector(amps, sector)
 
 
 def trotter_evolve(plan: EvolutionPlan, s0: StateVector, reverse: bool = False) -> StateVector:
@@ -192,18 +184,21 @@ class SpectralDecomposition:
         return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * self.coordinates(amps))
 
     def evolve(self, t: float, s: StateVector) -> StateVector:
-        return self.sector.embed(self.evolve_amplitudes(t, self.sector.restrict(s)))
+        """``exp(-i H t) s`` in the decomposition's sector."""
+        amps = s.on(self.sector).sector_amplitudes
+        return StateVector(self.evolve_amplitudes(t, amps), self.sector)
 
 
 def exact_evolve(
     h: PauliSum, t: float, s0: StateVector, cap: int = DENSE_QUBIT_CAP
 ) -> StateVector:
-    """exp(-i H t)|s0> through the dense eigendecomposition."""
-    return SpectralDecomposition.for_hamiltonian(h, cap).evolve(t, s0)
+    """exp(-i H t)|s0> through the dense eigendecomposition on ``s0``'s
+    sector, which ``h`` must map into itself."""
+    return SpectralDecomposition.for_hamiltonian(h, cap, s0.sector).evolve(t, s0)
 
 
 def trotter_error(plan: EvolutionPlan, s0: StateVector, cap: int = DENSE_QUBIT_CAP) -> float:
     """l2 distance between the Trotter and exact propagations of ``s0``."""
     approx = trotter_evolve(plan, s0)
     exact = exact_evolve(plan.hamiltonian, plan.total_time, s0, cap)
-    return float(np.linalg.norm(approx.amplitudes - exact.amplitudes))
+    return float(np.linalg.norm(approx.sector_amplitudes - exact.sector_amplitudes))

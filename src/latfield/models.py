@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import DimensionError, PauliSum, Sector, StateVector, letters_at
+from .pauli import DimensionError, PauliSum, StateVector, letters_at
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,17 @@ def bare_vacuum(n_sites: int) -> StateVector:
     return StateVector.from_bits("01" * (n_sites // 2))
 
 
-def particle_density(s: StateVector, n_sites: int, sector: Sector | None = None) -> float:
-    """Fraction of sites off the bare-vacuum pattern, in [0, 1], read on
-    ``sector`` (the full space by default), which must hold all of ``s``."""
+def particle_density(s: StateVector, n_sites: int) -> float:
+    """Fraction of sites off the bare-vacuum pattern, in [0, 1], read in the
+    state's sector."""
     if s.n_qubits != n_sites:
         raise DimensionError("state size does not match site count")
-    sector = sector or Sector(n_sites)
-    weights = np.abs(sector.restrict(s))
+    weights = np.abs(s.sector_amplitudes)
     weights *= weights
     # The bare vacuum sets the odd qubits (even sites); a basis state is off
     # it on as many sites as the bits it differs in.
     vacuum = sum(1 << q for q in range(1, n_sites, 2))
-    return float(weights @ np.bitwise_count(sector.indices ^ vacuum) / n_sites)
+    return float(weights @ np.bitwise_count(s.sector.indices ^ vacuum) / n_sites)
 
 
 def basis_charge(index: int, n_sites: int) -> int:

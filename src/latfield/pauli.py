@@ -31,6 +31,9 @@ on the sector's states, and every kernel reads that form: one gather
 applies it, one scatter fills dense matrices from it, and the
 commuting-group exponentials rotate with it.
 
+A :class:`StateVector` carries its sector (the full space is the trivial
+one), and every computation on a state runs in its sector.
+
 Terms and sums are immutable after construction and safe to share across
 threads.  The kernels never mutate their input state; a caller that reuses
 amplitude buffers must follow a single-writer discipline.
@@ -181,21 +184,29 @@ def letters_at(n_qubits: int, placements: Mapping[int, str]) -> str:
 
 
 class StateVector:
-    """Normalized complex amplitudes over the 2^n computational basis."""
+    """Normalized complex amplitudes on the basis of its ``sector`` (the
+    full space when None is given): ``sector_amplitudes[i]`` belongs to
+    basis state ``sector.indices[i]``.  ``amplitudes`` is the full ``2^n``
+    view, for oracles and the full-space kernels; ``on`` is the one
+    conversion between sectors."""
 
-    __slots__ = ("amplitudes", "n_qubits")
+    __slots__ = ("sector_amplitudes", "sector")
 
-    def __init__(self, amplitudes: np.ndarray, n_qubits: int | None = None):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
+    def __init__(self, amplitudes: np.ndarray, sector: "Sector | None" = None):
+        # Contiguous, so that ``on`` can view it as floats: an eigenvector
+        # column handed in is strided.
+        amplitudes = np.ascontiguousarray(amplitudes, dtype=complex)
         if amplitudes.ndim != 1:
             raise DimensionError("amplitudes must be a flat array")
-        n = int(amplitudes.size).bit_length() - 1
-        if 2**n != amplitudes.size:
-            raise DimensionError(f"amplitude count {amplitudes.size} is not a power of 2")
-        if n_qubits is not None and n_qubits != n:
-            raise DimensionError(f"expected 2^{n_qubits} amplitudes, got {amplitudes.size}")
-        self.amplitudes = amplitudes
-        self.n_qubits = n
+        if sector is None:
+            n = int(amplitudes.size).bit_length() - 1
+            if 2**n != amplitudes.size:
+                raise DimensionError(f"amplitude count {amplitudes.size} is not a power of 2")
+            sector = Sector(n)
+        elif amplitudes.size != sector.dim:
+            raise DimensionError(f"expected {sector.dim} sector amplitudes, got {amplitudes.size}")
+        self.sector_amplitudes = amplitudes
+        self.sector = sector
 
     @classmethod
     def basis_state(cls, n_qubits: int, index: int) -> "StateVector":
@@ -213,11 +224,37 @@ class StateVector:
         index = sum(1 << j for j, b in enumerate(bits) if b == "1")
         return cls.basis_state(len(bits), index)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.amplitudes.copy())
+    @property
+    def n_qubits(self) -> int:
+        return self.sector.n_qubits
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The full ``2^n`` vector; built on each read for a sector state."""
+        if self.sector._indices is None:
+            return self.sector_amplitudes
+        out = np.zeros(2**self.n_qubits, dtype=complex)
+        out[self.sector._indices] = self.sector_amplitudes
+        return out
+
+    def on(self, sector: "Sector") -> "StateVector":
+        """This state on the basis of ``sector``; raises InvariantViolation if
+        a nonzero amplitude would be dropped."""
+        if sector.n_qubits != self.n_qubits:
+            raise DimensionError("state and sector qubit counts differ")
+        if sector == self.sector:
+            return self
+        full = self.amplitudes
+        amps = full if sector._indices is None else full[sector._indices]
+        # Nonzero real and imaginary parts, counted through a boolean mask:
+        # counting complex (or float) nonzeros directly is five times slower.
+        kept, held = (np.count_nonzero(a.view(float) != 0) for a in (amps, self.sector_amplitudes))
+        if kept != held:
+            raise InvariantViolation("state has amplitude outside the sector")
+        return StateVector(amps, sector)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.sector_amplitudes))
 
     def inner(self, other: "StateVector") -> complex:
         """<self|other>."""
@@ -502,8 +539,9 @@ class Sector:
 
     ``of_charge`` gives the states of one total staggered charge,
     ``n // 2 - popcount(k)`` (``models.basis_charge``), which every lattice
-    model here conserves.  Sector amplitudes are indexed by position in
-    ``indices``; sectors with the same basis compare equal.
+    model here conserves.  Sector amplitudes (a state's, or the arrays the
+    operator methods take) are indexed by position in ``indices``; sectors
+    with the same basis compare equal.
     """
 
     __slots__ = ("n_qubits", "_indices", "_key", "_z_values")
@@ -521,15 +559,6 @@ class Sector:
     def of_charge(cls, n_qubits: int, total_charge: int) -> "Sector":
         weights = np.bitwise_count(np.arange(2**n_qubits))
         return cls(n_qubits, np.flatnonzero(weights == n_qubits // 2 - total_charge))
-
-    @classmethod
-    def of_state(cls, s: StateVector) -> "Sector":
-        """The charge sector holding every nonzero amplitude of ``s``, or the
-        full space when they span several charges."""
-        weights = np.unique(np.bitwise_count(np.flatnonzero(s.amplitudes)))
-        if weights.size != 1:
-            return cls(s.n_qubits)
-        return cls.of_charge(s.n_qubits, s.n_qubits // 2 - int(weights[0]))
 
     @property
     def indices(self) -> np.ndarray:
@@ -554,24 +583,6 @@ class Sector:
 
     def __hash__(self) -> int:
         return hash(self._key)
-
-    def embed(self, amps: np.ndarray) -> StateVector:
-        """The full statevector with these sector amplitudes."""
-        if self._indices is None:
-            return StateVector(amps)
-        out = np.zeros(2**self.n_qubits, dtype=complex)
-        out[self._indices] = amps
-        return StateVector(out)
-
-    def restrict(self, s: StateVector) -> np.ndarray:
-        """The sector amplitudes of ``s``; raises InvariantViolation if ``s``
-        has a nonzero amplitude outside the sector."""
-        if s.n_qubits != self.n_qubits:
-            raise DimensionError("state and sector qubit counts differ")
-        amps = s.amplitudes if self._indices is None else s.amplitudes[self._indices]
-        if np.count_nonzero(amps) != np.count_nonzero(s.amplitudes):
-            raise InvariantViolation("state has amplitude outside the sector")
-        return amps
 
     def compile(self, h: PauliSum):
         """``h`` on the sector: ``(x, d, gather)`` per flip mask ``x``, with
@@ -662,14 +673,14 @@ class CommutingExponential:
         return amps
 
 
-def expectation(h: PauliSum, s: StateVector, sector: Sector | None = None) -> float:
-    """``<s|h|s>`` for a Hermitian sum on a normalized state, read on
-    ``sector`` (the full space by default): it must hold all of ``s``."""
+def expectation(h: PauliSum, s: StateVector) -> float:
+    """``<s|h|s>`` for a Hermitian sum on a normalized state, read in the
+    state's sector as ``<s|P h P|s>`` (``P`` its projector): exact for any
+    ``h``, since ``s`` has no amplitude outside the sector."""
     if not h.hermitian:
         raise InvariantViolation("expectation requires a Hermitian PauliSum")
-    sector = sector or Sector(h.n_qubits)
-    amps = sector.restrict(s)
-    value = complex(np.vdot(amps, sector.apply(h, amps)))
+    amps = s.sector_amplitudes
+    value = complex(np.vdot(amps, _gather(s.sector._form(h)[0], amps)))
     if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
         raise InvariantViolation(f"expectation has imaginary residue {value.imag}")
     return value.real

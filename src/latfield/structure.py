@@ -3,12 +3,12 @@ lattice momentum-fraction transform, and the current-current tensor.
 
 States are prepared by exact diagonalization restricted to a total-charge
 ``Sector`` (the charge of every computational basis state is classical, so
-the restriction is exact); an adiabatic sweep from the large-mass limit is
-available as an independent cross-check.  Momentum is not projected on the
-open chain: a ``momentum_index`` is carried as a label only.  The
-correlators run in the state's charge sector when the Hamiltonian and
-every operator keep it (charge densities and currents do), and in the
-full space otherwise.
+the restriction is exact), or by an adiabatic sweep from the large-mass
+limit as an independent cross-check; both return states in that sector.
+Momentum is not projected on the open chain: a ``momentum_index`` is
+carried as a label only.  The correlators run in the state's sector when
+the Hamiltonian and every operator keep it (charge densities and currents
+do), and in the full space otherwise.
 
 The continuum bilinear of the momentum-fraction distribution has no unique
 staggered transcription; the correlator machinery is generic over caller
@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import SpectralDecomposition, make_plan, trotter_evolve
+from .evolution import SpectralDecomposition, exact_evolve, make_plan, trotter_evolve
 from .models import parity
 from .pauli import (
     DENSE_QUBIT_CAP,
@@ -126,7 +126,7 @@ def prepare_sector_state(
 
     Valid only for Hamiltonians commuting with the staggered charge, which
     all the lattice models here do; the restriction is then exact and the
-    returned state is an eigenstate to dense-arithmetic accuracy.
+    returned state, in its sector, is an eigenstate to dense accuracy.
     """
     if h.n_qubits > cap:
         raise ResourceLimitError(f"sector eigensolve for {h.n_qubits} qubits exceeds cap {cap}")
@@ -140,7 +140,7 @@ def prepare_sector_state(
             f"energy rank {sector.energy_rank} exceeds sector dimension {basis.dim}"
         )
     decomp = SpectralDecomposition.for_hamiltonian(h, cap, basis)
-    return basis.embed(decomp.eigenvectors[:, sector.energy_rank])
+    return StateVector(decomp.eigenvectors[:, sector.energy_rank], basis)
 
 
 def adiabatic_sector_state(
@@ -164,15 +164,10 @@ def adiabatic_sector_state(
         raise ValueError("adiabatic tracking only follows sector ground states")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    h_start = h_path(0.0)
-    basis = Sector.of_charge(h_start.n_qubits, sector.total_charge)
-    amps = basis.restrict(prepare_sector_state(h_start, sector, cap))
-    dt = total_time / steps
+    state = prepare_sector_state(h_path(0.0), sector, cap)
     for k in range(steps):
-        s_mid = (k + 0.5) / steps
-        decomp = SpectralDecomposition.for_hamiltonian(h_path(s_mid), cap, basis)
-        amps = decomp.evolve_amplitudes(dt, amps)
-    return basis.embed(amps)
+        state = exact_evolve(h_path((k + 0.5) / steps), total_time / steps, state, cap)
+    return state
 
 
 def thirring_mass_sweep(params, mass_start: float = 25.0) -> Callable[[float], PauliSum]:
@@ -253,35 +248,31 @@ def thirring_bond_current(n_sites: int, site: int) -> PauliSum:
 
 class _Propagator:
     """Propagation shared by the correlators, on amplitudes of one sector:
-    ``psi``'s charge sector when ``psi`` lies in it and ``h`` and every
-    operator map it into itself, the full space otherwise.  Exact under the
-    dense cap; above it, Trotterized in the full space with a stated
-    per-unit-time step count."""
+    ``psi``'s own sector when ``h`` and every operator map it into itself,
+    the full space otherwise.  Exact under the dense cap; above it,
+    Trotterized in the same sector with a stated per-unit-time step count."""
 
     def __init__(self, h: PauliSum, psi: StateVector, ops, cap: int, trotter_steps_per_unit: int):
         psi.check_normalized()
-        if any(op.n_qubits != h.n_qubits for op in ops):
-            raise DimensionError("operator and Hamiltonian qubit counts differ")
         self.h = h
-        self.exact = h.n_qubits <= cap
         self.steps_per_unit = trotter_steps_per_unit
-        sector = Sector.of_state(psi) if self.exact else Sector(h.n_qubits)
+        sector = psi.sector  # closed_under raises if a qubit count differs
         if not all(sector.closed_under(op) for op in (h, *ops)):
             sector = Sector(h.n_qubits)
         self.sector = sector
-        self.psi = sector.restrict(psi)
-        self._decomp = (
-            SpectralDecomposition.for_hamiltonian(h, cap, sector) if self.exact else None
-        )
+        self.psi = psi.on(sector).sector_amplitudes
+        exact = h.n_qubits <= cap
+        self._decomp = SpectralDecomposition.for_hamiltonian(h, cap, sector) if exact else None
 
     def advance(self, amps: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
-        if self.exact:
+        if self._decomp is not None:
             return self._decomp.evolve_amplitudes(t_to - t_from, amps)
         dt = t_to - t_from
         if dt == 0.0:
             return amps
         steps = max(1, int(np.ceil(abs(dt) * self.steps_per_unit)))
-        return trotter_evolve(make_plan(self.h, dt, steps), StateVector(amps)).amplitudes
+        state = StateVector(amps, self.sector)
+        return trotter_evolve(make_plan(self.h, dt, steps), state).sector_amplitudes
 
     def table(self, bra: np.ndarray, ket: np.ndarray, times, ops) -> np.ndarray:
         """<bra(t)| op |ket(t)>: one row per operator, one column per time,
@@ -309,8 +300,6 @@ def two_point(
     ``A_y`` is ``op_a`` translated by ``y`` sites.  Rows are positions,
     columns times.
     """
-    if req.op_a.n_qubits != h.n_qubits or req.op_b.n_qubits != h.n_qubits:
-        raise DimensionError("operator and Hamiltonian qubit counts differ")
     translated = [translate(req.op_a, y) for y in req.positions]
     prop = _Propagator(h, psi, [req.op_b, *translated], cap, trotter_steps_per_unit)
     return prop.table(prop.psi, prop.sector.apply(req.op_b, prop.psi), req.times, translated)

@@ -1,8 +1,8 @@
 """Variational ground-state search with energy-variance self-verification.
 
-Ansatz circuits are sequences of layers acting on the amplitudes of the
-``Sector`` the ansatz runs in (the full space by default).  A generator
-layer evolves the state by ``exp(-i theta G)`` under one shared angle:
+Ansatz circuits are sequences of layers acting on the amplitudes of their
+initial state, in that state's ``Sector``.  A generator layer evolves the
+state by ``exp(-i theta G)`` under one shared angle:
 exactly over G's flip-mask parts when its terms commute pairwise, else
 through G's eigendecomposition on the sector (desk-scale only).  A
 local-Z layer carries one angle per qubit.  The Schwinger ansatz keeps the
@@ -141,21 +141,21 @@ class LocalZLayer:
 
 @dataclass(frozen=True)
 class Ansatz:
-    """Layered parameterized circuit plus its initial state, run in one
-    sector (the full space unless given)."""
+    """Layered parameterized circuit plus its initial state, run in that
+    state's sector."""
 
     layers: tuple
     initial_state: StateVector
-    sector: Sector | None = None
 
     def __post_init__(self) -> None:
-        if self.sector is None:
-            object.__setattr__(self, "sector", Sector(self.initial_state.n_qubits))
-        # Restricted once (raising if it leaves the sector); kept with its support if sparse.
-        initial = self.sector.restrict(self.initial_state)
+        # The support is kept when sparse: a first eigenbasis layer reads those rows only.
+        initial = self.initial_state.sector_amplitudes
         support = np.flatnonzero(initial)
-        object.__setattr__(self, "_initial", initial)
         object.__setattr__(self, "_support", support if support.size < initial.size else None)
+
+    @property
+    def sector(self) -> Sector:
+        return self.initial_state.sector
 
     @property
     def n_qubits(self) -> int:
@@ -173,7 +173,7 @@ class Ansatz:
             raise DimensionError(
                 f"ansatz takes {self.parameter_count} parameters, got {values.size}"
             )
-        amps, support = self._initial, self._support
+        amps, support = self.initial_state.sector_amplitudes, self._support
         steps, cursor = [], 0
         for layer in self.layers:
             chunk = values[cursor : cursor + layer.arity]
@@ -184,12 +184,8 @@ class Ansatz:
             steps.append((layer, angle, amps, memo))
         return amps, steps
 
-    def amplitudes(self, point: "ParamPoint | Sequence[float]") -> np.ndarray:
-        """The prepared state as amplitudes in the ansatz's sector."""
-        return self.trajectory(point)[0]
-
     def prepare(self, point: "ParamPoint | Sequence[float]") -> StateVector:
-        return self.sector.embed(self.amplitudes(point))
+        return StateVector(self.trajectory(point)[0], self.sector)
 
 
 @dataclass(frozen=True)
@@ -249,7 +245,7 @@ def hva_schwinger_ansatz(params: ResourceParams, n_layers: int) -> Ansatz:
     xy = GeneratorLayer(build_resource_xy(params))
     z = LocalZLayer(params.n_sites, params.delta / 2.0)
     layers = tuple(xy if k % 2 == 0 else z for k in range(n_layers))
-    return Ansatz(layers, bare_vacuum(params.n_sites), Sector.of_charge(params.n_sites, 0))
+    return Ansatz(layers, bare_vacuum(params.n_sites).on(Sector.of_charge(params.n_sites, 0)))
 
 
 # -- objective -----------------------------------------------------------
@@ -493,8 +489,6 @@ def phase_scan(
     if dense_cross is None:
         dense_cross = n <= 10
     ansatz = hva_schwinger_ansatz(resource, n_layers)
-    # Staggered density (1/N) sum_j (-1)^j Z_j on the sector's basis states.
-    density = ansatz.sector.z_values @ np.array([parity(j) for j in range(1, n + 1)]) / n
 
     def run_point(h: PauliSum, warm: np.ndarray, seed_k: int):
         # The gradient vanishes at the all-zero point, so a warm start still
@@ -540,12 +534,21 @@ def phase_scan(
                 mass=mass,
                 energy=outcome.value,
                 variance=variance,
-                order_parameter=float(density @ np.abs(ansatz.amplitudes(outcome.point)) ** 2),
+                order_parameter=order_parameter(ansatz, outcome.point),
                 dense_order_parameter=dense_value,
                 optimization=outcome,
             )
         )
     return records
+
+
+def order_parameter(ansatz: Ansatz, point: "ParamPoint | Sequence[float]") -> float:
+    """Staggered density (1/N) sum_j (-1)^j <Z_j> of the prepared state over
+    its norm, which rounding leaves ulps off 1: the bare vacuum reads -1."""
+    n = ansatz.n_qubits
+    density = ansatz.sector.z_values @ np.array([parity(j) for j in range(1, n + 1)]) / n
+    weights = np.abs(ansatz.prepare(point).sector_amplitudes) ** 2
+    return float(density @ weights / weights.sum())
 
 
 def steepest_change(masses: Sequence[float], order: Sequence[float]) -> float:

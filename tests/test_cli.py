@@ -11,7 +11,7 @@ from latfield import cli
 from latfield.cli import main
 from latfield.evolution import make_plan
 from latfield.models import SchwingerParams, bare_vacuum, build_schwinger, staggered_charge_op
-from latfield.pauli import deserialize, expectation
+from latfield.pauli import Sector, StateVector, deserialize, expectation
 
 from oracles import apply_string
 
@@ -120,6 +120,24 @@ class TestQuench:
         expected = full_space_quench_rows(8, 1.0, 20, 5)
         assert [int(row[0]) for row in rows] == [0, 5, 10, 15, 20]
         np.testing.assert_allclose(np.array(rows, dtype=float), expected, rtol=0, atol=1e-12)
+
+    def test_sector_quench_builds_no_full_space_vector(self, tmp_path, monkeypatch):
+        code, plain = run_cli("schwinger-quench", QUENCH8_INI, tmp_path, "plain")
+        assert code == 0
+        full_view = StateVector.amplitudes
+
+        def guarded(state):
+            if state.sector.dim < 2**state.n_qubits:
+                raise AssertionError("the full-space vector of a sector state was built")
+            return full_view.fget(state)
+
+        monkeypatch.setattr(StateVector, "amplitudes", property(guarded))
+        with pytest.raises(AssertionError, match="full-space vector"):
+            bare_vacuum(8).on(Sector.of_charge(8, 0)).amplitudes
+        code, out = run_cli("schwinger-quench", QUENCH8_INI, tmp_path, "guarded")
+        assert code == 0
+        csv = "trajectory.csv"
+        assert (out / csv).read_bytes() == (plain / csv).read_bytes()
 
     def test_manifest_records_quench_counters(self, tmp_path):
         code, out = run_cli("schwinger-quench", QUENCH_INI, tmp_path, "counters")
@@ -439,8 +457,10 @@ p_plus = 1.0
 
 class TestImport:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
+        # Nor scipy.linalg or scipy.sparse: none is imported at module level.
         src = os.path.dirname(os.path.dirname(latfield.__file__))
-        code = "import sys, latfield.cli; print('scipy.optimize' in sys.modules)"
+        heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+        code = f"import sys, latfield.cli; print([m for m in {heavy!r} if m in sys.modules])"
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c", code],
@@ -450,4 +470,4 @@ class TestImport:
             check=True,
             timeout=60,
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"

@@ -197,25 +197,28 @@ class TestSectorPlan:
     def test_vacuum_trajectory_matches_full_space(self, n):
         h = build_schwinger(SchwingerParams(n, 0.5, 1.0))
         vac = bare_vacuum(n)
-        sector = Sector.of_state(vac)
-        plan = make_plan(h, 1.0, 20, sector)
-        assert plan.sector.dim == math.comb(n, n // 2)
-        assert make_plan(h, 1.0, 20).sector == Sector(n)
-        full = trotter_states(make_plan(h, 1.0, 20), vac)
-        for a, b in zip(full, trotter_states(plan, vac), strict=True):
+        sector = Sector.of_charge(n, 0)
+        plan = make_plan(h, 1.0, 20)
+        states = list(trotter_states(plan, vac.on(sector)))
+        assert all(s.sector == sector for s in states)
+        assert sector.dim == math.comb(n, n // 2)
+        full = trotter_states(plan, vac)
+        for a, b in zip(full, states, strict=True):
+            assert a.sector == Sector(n)
             np.testing.assert_allclose(b.amplitudes, a.amplitudes, rtol=0, atol=1e-12)
 
     def test_plan_rejects_hamiltonian_leaking_out_of_sector(self):
         h = build_schwinger(SchwingerParams(6, 0.5, 1.0)) + PauliSum(6, [(0.1, "XIIIII")])
+        vac = bare_vacuum(6)
         with pytest.raises(InvariantViolation, match="0b1 maps"):
-            make_plan(h, 1.0, 4, Sector.of_state(bare_vacuum(6)))
+            next(trotter_states(make_plan(h, 1.0, 4), vac.on(Sector.of_charge(6, 0))))
 
     def test_sweeps_reject_state_outside_sector(self):
-        h = build_schwinger(SchwingerParams(6, 0.5, 1.0))
-        plan = make_plan(h, 1.0, 4, Sector.of_charge(6, 0))
+        # A sweep takes its sector from the state, which cannot be narrowed
+        # to a sector that drops one of its amplitudes.
         amps = bare_vacuum(6).amplitudes + StateVector.from_bits("000000").amplitudes
         with pytest.raises(InvariantViolation, match="outside the sector"):
-            next(trotter_states(plan, StateVector(amps / np.sqrt(2))))
+            StateVector(amps / np.sqrt(2)).on(Sector.of_charge(6, 0))
 
 
 class TestTrotterError:

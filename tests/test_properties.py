@@ -1,7 +1,7 @@
-"""Property tests: the flip-mask kernels, the sector forms, the commutation
-test, the sector eigenbasis and the thermal ensemble contraction against
-the oracles on random Pauli sums of up to six qubits (eight for the sector
-sweeps)."""
+"""Property tests: the flip-mask kernels, the sector forms, sector states,
+the commutation test, the sector eigenbasis and the thermal ensemble
+contraction against the oracles on random Pauli sums of up to six qubits
+(eight for the sector sweeps)."""
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from latfield.pauli import (
     PauliTerm,
     Sector,
     StateVector,
+    expectation,
     terms_commute,
     to_dense,
 )
@@ -182,7 +183,7 @@ def test_sector_form_matches_restricted_oracle(data, h):
     t=st.floats(-1.5, 1.5),
 )
 def test_sector_trajectory_matches_full_space(data, h, t):
-    """A sector plan sweeps like the full space when every commuting group
+    """A sector state sweeps like the full space when every commuting group
     maps the sector into itself, and raises when one does not: with the
     terms in a drawn order, a greedy group may hold X_i X_j without its
     Y_i Y_j."""
@@ -193,20 +194,43 @@ def test_sector_trajectory_matches_full_space(data, h, t):
     amps = np.zeros(2**n, dtype=complex)
     amps[sector.indices] = data.draw(states(n))[sector.indices]
     s0 = StateVector(amps / np.linalg.norm(amps))
-    full_plan, sector_plan = make_plan(h, t, 3), make_plan(h, t, 3, sector)
+    plan = make_plan(h, t, 3)
     parts = [
-        PauliSum(n, [(full_plan.terms[i].coefficient, full_plan.terms[i].letters) for i in group])
-        for group in full_plan.grouping
+        PauliSum(n, [(plan.terms[i].coefficient, plan.terms[i].letters) for i in group])
+        for group in plan.grouping
     ]
     if all(sector.closed_under(part) for part in parts):
-        sweeps = zip(trotter_states(full_plan, s0), trotter_states(sector_plan, s0), strict=True)
+        sweeps = zip(trotter_states(plan, s0), trotter_states(plan, s0.on(sector)), strict=True)
         for full, restricted in sweeps:
+            assert restricted.sector == sector
             np.testing.assert_allclose(
                 restricted.amplitudes, full.amplitudes, rtol=0, atol=1e-12
             )
     else:
         with pytest.raises(InvariantViolation):
-            next(trotter_states(sector_plan, s0))
+            next(trotter_states(plan, s0.on(sector)))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), h=st.one_of(charge_conserving_sums(currents=True), pauli_sums()))
+def test_sector_state_reads_like_its_full_space_view(data, h):
+    """A state in a drawn charge sector goes to the full space and back bit
+    for bit and has its full-space view's expectation, also for a sum that
+    leaves the sector (read there as P h P); narrowing never drops an
+    amplitude, however small."""
+    n = h.n_qubits
+    sector = Sector.of_charge(n, basis_charge(data.draw(st.integers(0, 2**n - 1)), n))
+    amps = data.draw(states(n))[sector.indices]
+    s = StateVector(amps / np.linalg.norm(amps), sector)
+    full = s.on(Sector(n))
+    assert full.sector == Sector(n) and full.on(s.sector).sector == sector
+    assert full.on(s.sector).sector_amplitudes.tobytes() == s.sector_amplitudes.tobytes()
+    assert abs(expectation(h, s) - expectation(h, full)) <= 1e-12
+    outside = np.setdiff1d(np.arange(2**n), sector.indices)
+    leaked = full.amplitudes.copy()
+    leaked[data.draw(st.sampled_from(outside.tolist()))] = data.draw(st.sampled_from([1e-300, 1j]))
+    with pytest.raises(InvariantViolation, match="outside the sector"):
+        StateVector(leaked).on(sector)
 
 
 @PROPERTY_SETTINGS

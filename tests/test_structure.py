@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from latfield.evolution import exact_evolve
+from latfield import structure
+from latfield.evolution import exact_evolve, make_plan, trotter_evolve
 from latfield.models import (
     ResourceParams,
     SchwingerParams,
@@ -145,6 +146,7 @@ class TestSectorPreparation:
         h = build_thirring(MODEL6)
         state = prepare_sector_state(h, SectorSpec(total_charge=0))
         idx = sector_indices(6, 0)
+        assert state.sector == Sector(6, idx)
         w = np.linalg.eigvalsh(dense_sum(h)[np.ix_(idx, idx)])
         assert expectation(h, state) == pytest.approx(w[0], abs=1e-11)
 
@@ -216,7 +218,7 @@ class TestAdiabaticCrossCheck:
     def test_sector_sweep_matches_full_space_sweep(self, n_sites):
         path = thirring_mass_sweep(ThirringParams(n_sites, 0.5, 0.8))
         swept = adiabatic_sector_state(path, SectorSpec(1), total_time=10.0, steps=40)
-        state = prepare_sector_state(path(0.0), SectorSpec(1))
+        state = prepare_sector_state(path(0.0), SectorSpec(1)).on(Sector(n_sites))
         for k in range(40):
             state = exact_evolve(path((k + 0.5) / 40), 10.0 / 40, state)
         np.testing.assert_allclose(swept.amplitudes, state.amplitudes, rtol=0, atol=1e-12)
@@ -277,8 +279,8 @@ class TestTwoPoint:
         psi = prepare_sector_state(h, SectorSpec(1))
         times = tuple(np.linspace(0.0, 2.0, 5))
         flip = PauliSum(6, [(1.0, "XIIIII")])
-        sector = Sector.of_state(psi)
-        assert sector.dim == 15 and sector.closed_under(h)
+        sector = psi.sector
+        assert sector == Sector.of_charge(6, 1) and sector.dim == 15 and sector.closed_under(h)
         assert sector.closed_under(hopping_bilinear(6, 0)) and not sector.closed_under(flip)
         for op, positions in [(hopping_bilinear(6, 0), (0, 2)), (flip, (0, 2, 4))]:
             req = CorrelatorRequest(op_a=op, op_b=op, times=times, positions=positions)
@@ -304,6 +306,35 @@ class TestTwoPoint:
         exact = two_point(h, psi, req)
         trotter = two_point(h, psi, req, cap=0, trotter_steps_per_unit=128)
         np.testing.assert_allclose(trotter, exact, atol=1e-3)
+
+    def test_trotter_path_runs_in_the_state_sector(self, monkeypatch):
+        # Above the cap the correlator sweeps psi's 15-state charge sector:
+        # the same sweeps in the full space give the same table.
+        swept = []
+
+        def recording_evolve(plan, s0, reverse=False):
+            swept.append(s0.sector)
+            return trotter_evolve(plan, s0, reverse)
+
+        monkeypatch.setattr(structure, "trotter_evolve", recording_evolve)
+        h = build_thirring(MODEL6)
+        psi = prepare_sector_state(h, SectorSpec(1))
+        op = hopping_bilinear(6, 0)
+        times, positions, per_unit = tuple(np.linspace(0.0, 2.0, 5)), (0, 2, 4), 16
+        req = CorrelatorRequest(op_a=op, op_b=op, times=times, positions=positions)
+        table = two_point(h, psi, req, cap=0, trotter_steps_per_unit=per_unit)
+        assert swept and all(sector == psi.sector for sector in swept)
+        bra = psi.on(Sector(6))
+        ket = op.apply_to(bra)
+        expected = np.empty((len(positions), len(times)), dtype=complex)
+        for col, (t_prev, t) in enumerate(zip((0.0,) + times, times)):
+            if t != t_prev:
+                plan = make_plan(h, t - t_prev, int(np.ceil((t - t_prev) * per_unit)))
+                bra, ket = trotter_evolve(plan, bra), trotter_evolve(plan, ket)
+            assert bra.sector == ket.sector == Sector(6)
+            for row, y in enumerate(positions):
+                expected[row, col] = bra.inner(translate(op, y).apply_to(ket))
+        np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
 
     def test_time_offset_leaves_correlator_invariant_on_eigenstates(self):
         h = build_thirring(MODEL6)

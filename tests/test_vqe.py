@@ -26,6 +26,7 @@ from latfield.vqe import (
     hva_schwinger_ansatz,
     minimize,
     optimize,
+    order_parameter,
     phase_scan,
     steepest_change,
     ucc_deuteron_ansatz,
@@ -129,6 +130,7 @@ class TestHvaAnsatz:
     def test_sector_ansatz_matches_dense_oracle(self, n_sites):
         resource = ResourceParams(n_sites, 1.0, 1.5, 0.3, 1.0)
         ansatz = hva_schwinger_ansatz(resource, 4)
+        assert ansatz.sector is ansatz.initial_state.sector
         assert ansatz.sector.dim == scipy.special.comb(n_sites, n_sites // 2, exact=True)
         h = build_schwinger(SchwingerParams(n_sites, 0.4, 1.3, spacing=0.5))
         hd = dense_sum(h)
@@ -334,6 +336,15 @@ class TestPhaseScan:
         template = SchwingerParams(4, 0.0, 1.0)
         with pytest.raises(ValueError):
             phase_scan([0.5, -0.5], template, RESOURCE4, 2, 50)
+
+    @pytest.mark.parametrize("n_sites", [6, 12])
+    def test_zero_point_order_parameter_is_exactly_the_vacuum_value(self, n_sites):
+        # Without the normalization the 12-site value reads
+        # -1.0000000000000009 with one BLAS thread, outside [-1, 1].
+        ansatz = hva_schwinger_ansatz(ResourceParams(n_sites, 1.0, 1.5, 0.3, 1.0), 4)
+        value = order_parameter(ansatz, np.zeros(ansatz.parameter_count))
+        assert -1.0 <= value <= 1.0
+        assert abs(value + 1.0) <= 1e-15
 
     def test_steepest_change_helper(self):
         # Central differences at interior grid points.
