@@ -15,8 +15,6 @@ from .pauli import (
     PauliTerm,
     ResourceLimitError,
     StateVector,
-    apply_term,
-    exp_term_apply,
     expectation,
     multiply,
     serialize,
@@ -34,8 +32,6 @@ __all__ = [
     "PauliTerm",
     "ResourceLimitError",
     "StateVector",
-    "apply_term",
-    "exp_term_apply",
     "expectation",
     "multiply",
     "serialize",

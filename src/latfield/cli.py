@@ -1,8 +1,8 @@
 """Experiment runner: named subcommands over INI configs, deterministic CSV
 outputs, and a JSON manifest per run.
 
-Exit codes: 0 success, 2 configuration error, 3 dense-oracle resource cap
-exceeded or out of memory, 4 internal invariant violation.
+Exit codes: 0 success, 2 configuration error, 3 dense operator above
+``DENSE_QUBIT_CAP`` qubits or out of memory, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .config import SUBCOMMANDS, ConfigError, RunConfig, load_run_config
@@ -437,6 +436,8 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> dict:
     """Execute one experiment; returns the manifest dictionary."""
+    import scipy  # here, not at module level: only its version is recorded
+
     started = time.time()
     config.out.mkdir(parents=True, exist_ok=True)
     outcome = _RUNNERS[config.subcommand](config)

@@ -27,15 +27,14 @@ from typing import Iterator
 import numpy as np
 
 from .pauli import (
-    DENSE_QUBIT_CAP,
     CommutingExponential,
     DimensionError,
     InvariantViolation,
     PauliSum,
     PauliTerm,
-    ResourceLimitError,
     Sector,
     StateVector,
+    check_dense,
     terms_commute,
 )
 
@@ -157,14 +156,12 @@ class SpectralDecomposition:
 
     @classmethod
     def for_hamiltonian(
-        cls, h: PauliSum, cap: int = DENSE_QUBIT_CAP, sector: Sector | None = None
+        cls, h: PauliSum, sector: Sector | None = None
     ) -> "SpectralDecomposition":
         """The decomposition of ``h`` on ``sector``, cached for as long as
-        ``h`` lives."""
-        if h.n_qubits > cap:
-            raise ResourceLimitError(
-                f"eigendecomposition for {h.n_qubits} qubits exceeds cap {cap}"
-            )
+        ``h`` lives.  ``check_dense`` runs first, so above the cap even a
+        cached decomposition is refused with ResourceLimitError."""
+        check_dense(h.n_qubits)
         sector = sector or Sector(h.n_qubits)
         per_sector = cls._cache.setdefault(h, {})
         if sector not in per_sector:
@@ -189,16 +186,14 @@ class SpectralDecomposition:
         return StateVector(self.evolve_amplitudes(t, amps), self.sector)
 
 
-def exact_evolve(
-    h: PauliSum, t: float, s0: StateVector, cap: int = DENSE_QUBIT_CAP
-) -> StateVector:
+def exact_evolve(h: PauliSum, t: float, s0: StateVector) -> StateVector:
     """exp(-i H t)|s0> through the dense eigendecomposition on ``s0``'s
     sector, which ``h`` must map into itself."""
-    return SpectralDecomposition.for_hamiltonian(h, cap, s0.sector).evolve(t, s0)
+    return SpectralDecomposition.for_hamiltonian(h, s0.sector).evolve(t, s0)
 
 
-def trotter_error(plan: EvolutionPlan, s0: StateVector, cap: int = DENSE_QUBIT_CAP) -> float:
+def trotter_error(plan: EvolutionPlan, s0: StateVector) -> float:
     """l2 distance between the Trotter and exact propagations of ``s0``."""
     approx = trotter_evolve(plan, s0)
-    exact = exact_evolve(plan.hamiltonian, plan.total_time, s0, cap)
+    exact = exact_evolve(plan.hamiltonian, plan.total_time, s0)
     return float(np.linalg.norm(approx.sector_amplitudes - exact.sector_amplitudes))

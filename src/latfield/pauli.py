@@ -51,7 +51,8 @@ import numpy as np
 PAULI_LETTERS = "IXYZ"
 
 DENSE_QUBIT_CAP = 14
-"""Largest qubit count for which dense 2^n x 2^n oracles are built."""
+"""Largest qubit count for which dense matrices and eigendecompositions are
+built; ``check_dense`` is the one place it is read."""
 
 MERGE_TOLERANCE = 1e-14
 """Coefficients with magnitude below this are dropped after merging."""
@@ -86,7 +87,8 @@ class DimensionError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """A dense-matrix oracle was requested above the configured qubit cap."""
+    """A dense matrix or eigendecomposition was requested above
+    ``DENSE_QUBIT_CAP``."""
 
 
 class InvariantViolation(RuntimeError):
@@ -281,24 +283,6 @@ def _masks(letters: str) -> tuple[int, int, int]:
         if c == "Y":
             ny += 1
     return xmask, zmask, ny
-
-
-def apply_term(p: PauliTerm, s: StateVector) -> StateVector:
-    """Return ``p`` acting on ``s``; the norm scales by |p.coefficient|."""
-    if p.n_qubits != s.n_qubits:
-        raise DimensionError("term and state qubit counts differ")
-    unit = PauliSum(p.n_qubits, [(1.0, p.letters)])
-    return StateVector(p.value * unit.apply_to(s).amplitudes)
-
-
-def exp_term_apply(theta: float, p: PauliTerm, s: StateVector) -> StateVector:
-    """Apply ``exp(-i * theta * P)`` for a unit-coefficient Pauli string."""
-    if p.imag or p.coefficient != 1.0:
-        raise ValueError("exp_term_apply requires a unit-coefficient Hermitian term")
-    if p.n_qubits != s.n_qubits:
-        raise DimensionError("term and state qubit counts differ")
-    rotation = CommutingExponential(PauliSum(p.n_qubits, [(1.0, p.letters)]), theta)
-    return StateVector(rotation.apply(s.amplitudes))
 
 
 class PauliSum:
@@ -686,13 +670,19 @@ def expectation(h: PauliSum, s: StateVector) -> float:
     return value.real
 
 
-def to_dense(h: PauliSum, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def check_dense(n_qubits: int) -> None:
+    """The one dense-size rule: raise ResourceLimitError above
+    ``DENSE_QUBIT_CAP``, read at call time."""
+    if n_qubits > DENSE_QUBIT_CAP:
+        raise ResourceLimitError(
+            f"dense operator on {n_qubits} qubits exceeds the cap of {DENSE_QUBIT_CAP}"
+        )
+
+
+def to_dense(h: PauliSum) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the sum: the full-space
     ``Sector.matrix``, ``mat[k, k ^ x] = d_x[k]``."""
-    if h.n_qubits > cap:
-        raise ResourceLimitError(
-            f"dense matrix for {h.n_qubits} qubits exceeds cap {cap}"
-        )
+    check_dense(h.n_qubits)
     return Sector(h.n_qubits).matrix(h)
 
 

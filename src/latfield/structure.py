@@ -30,7 +30,6 @@ import numpy as np
 from .evolution import SpectralDecomposition, exact_evolve, make_plan, trotter_evolve
 from .models import parity
 from .pauli import (
-    DENSE_QUBIT_CAP,
     DimensionError,
     PauliSum,
     ResourceLimitError,
@@ -119,17 +118,13 @@ def sector_matrix(h: PauliSum, indices: np.ndarray) -> np.ndarray:
     return Sector(h.n_qubits, indices).matrix(h)
 
 
-def prepare_sector_state(
-    h: PauliSum, sector: SectorSpec, cap: int = DENSE_QUBIT_CAP
-) -> StateVector:
+def prepare_sector_state(h: PauliSum, sector: SectorSpec) -> StateVector:
     """Eigenstate of ``h`` with the requested charge and energy rank.
 
     Valid only for Hamiltonians commuting with the staggered charge, which
     all the lattice models here do; the restriction is then exact and the
     returned state, in its sector, is an eigenstate to dense accuracy.
     """
-    if h.n_qubits > cap:
-        raise ResourceLimitError(f"sector eigensolve for {h.n_qubits} qubits exceeds cap {cap}")
     basis = Sector.of_charge(h.n_qubits, sector.total_charge)
     if basis.dim == 0:
         raise EmptySectorError(
@@ -139,7 +134,7 @@ def prepare_sector_state(
         raise EmptySectorError(
             f"energy rank {sector.energy_rank} exceeds sector dimension {basis.dim}"
         )
-    decomp = SpectralDecomposition.for_hamiltonian(h, cap, basis)
+    decomp = SpectralDecomposition.for_hamiltonian(h, basis)
     return StateVector(decomp.eigenvectors[:, sector.energy_rank], basis)
 
 
@@ -148,7 +143,6 @@ def adiabatic_sector_state(
     sector: SectorSpec,
     total_time: float = 60.0,
     steps: int = 240,
-    cap: int = DENSE_QUBIT_CAP,
 ) -> StateVector:
     """Cross-check preparation: follow the sector ground state along a slow
     Hamiltonian sweep ``h_path(s)``, s from 0 to 1.
@@ -164,18 +158,18 @@ def adiabatic_sector_state(
         raise ValueError("adiabatic tracking only follows sector ground states")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    state = prepare_sector_state(h_path(0.0), sector, cap)
+    state = prepare_sector_state(h_path(0.0), sector)
     for k in range(steps):
-        state = exact_evolve(h_path((k + 0.5) / steps), total_time / steps, state, cap)
+        state = exact_evolve(h_path((k + 0.5) / steps), total_time / steps, state)
     return state
 
 
-def thirring_mass_sweep(params, mass_start: float = 25.0) -> Callable[[float], PauliSum]:
-    """Sweep from the trivial large-mass Thirring chain to the target one."""
+def thirring_mass_sweep(params) -> Callable[[float], PauliSum]:
+    """Sweep from the trivial large-mass (25) Thirring chain to the target one."""
     from .models import ThirringParams, build_thirring
 
     def path(s: float) -> PauliSum:
-        mass = (1.0 - s) * mass_start + s * params.mass
+        mass = (1.0 - s) * 25.0 + s * params.mass
         return build_thirring(ThirringParams(params.n_sites, mass, params.coupling))
 
     return path
@@ -249,10 +243,11 @@ def thirring_bond_current(n_sites: int, site: int) -> PauliSum:
 class _Propagator:
     """Propagation shared by the correlators, on amplitudes of one sector:
     ``psi``'s own sector when ``h`` and every operator map it into itself,
-    the full space otherwise.  Exact under the dense cap; above it,
+    the full space otherwise.  Exact through ``SpectralDecomposition``;
+    where that raises ResourceLimitError (above the dense cap),
     Trotterized in the same sector with a stated per-unit-time step count."""
 
-    def __init__(self, h: PauliSum, psi: StateVector, ops, cap: int, trotter_steps_per_unit: int):
+    def __init__(self, h: PauliSum, psi: StateVector, ops, trotter_steps_per_unit: int):
         psi.check_normalized()
         self.h = h
         self.steps_per_unit = trotter_steps_per_unit
@@ -261,8 +256,10 @@ class _Propagator:
             sector = Sector(h.n_qubits)
         self.sector = sector
         self.psi = psi.on(sector).sector_amplitudes
-        exact = h.n_qubits <= cap
-        self._decomp = SpectralDecomposition.for_hamiltonian(h, cap, sector) if exact else None
+        try:
+            self._decomp = SpectralDecomposition.for_hamiltonian(h, sector)
+        except ResourceLimitError:
+            self._decomp = None
 
     def advance(self, amps: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
         if self._decomp is not None:
@@ -292,7 +289,6 @@ def two_point(
     h: PauliSum,
     psi: StateVector,
     req: CorrelatorRequest,
-    cap: int = DENSE_QUBIT_CAP,
     trotter_steps_per_unit: int = 128,
 ) -> np.ndarray:
     """C(y, t) = <psi| e^{iHt} A_y e^{-iHt} B_0 |psi> over the request grids.
@@ -301,7 +297,7 @@ def two_point(
     columns times.
     """
     translated = [translate(req.op_a, y) for y in req.positions]
-    prop = _Propagator(h, psi, [req.op_b, *translated], cap, trotter_steps_per_unit)
+    prop = _Propagator(h, psi, [req.op_b, *translated], trotter_steps_per_unit)
     return prop.table(prop.psi, prop.sector.apply(req.op_b, prop.psi), req.times, translated)
 
 
@@ -312,7 +308,6 @@ def time_ordered_current_correlator(
     current_b: Callable[[int], PauliSum],
     positions: Sequence[int],
     times: Sequence[float],
-    cap: int = DENSE_QUBIT_CAP,
     trotter_steps_per_unit: int = 128,
 ) -> np.ndarray:
     """<psi| T{ J_a(y, t) J_b(0, 0) } |psi> with the convention
@@ -320,7 +315,7 @@ def time_ordered_current_correlator(
     ops = [current_a(int(y)) for y in positions]
     ref = current_b(0)
     ref_adjoint = ref.adjoint()
-    prop = _Propagator(h, psi, [ref, ref_adjoint, *ops], cap, trotter_steps_per_unit)
+    prop = _Propagator(h, psi, [ref, ref_adjoint, *ops], trotter_steps_per_unit)
     times = np.asarray(times, dtype=float)
     order = np.argsort(times)
     later, earlier = order[times[order] >= 0], order[times[order] < 0]
@@ -381,7 +376,6 @@ def hadronic_tensor(
     positions: Sequence[int],
     times: Sequence[float],
     current_b: Callable[[int], PauliSum] | None = None,
-    cap: int = DENSE_QUBIT_CAP,
     trotter_steps_per_unit: int = 128,
     metadata: dict | None = None,
 ) -> SpectralTable:
@@ -399,7 +393,7 @@ def hadronic_tensor(
     if current_b is None:
         current_b = current_a
     table = time_ordered_current_correlator(
-        h, psi, current_a, current_b, positions, times, cap, trotter_steps_per_unit
+        h, psi, current_a, current_b, positions, times, trotter_steps_per_unit
     )
     dy = float(pos[1] - pos[0]) if pos.size > 1 else 1.0
     dt = float(ts[1] - ts[0]) if ts.size > 1 else 1.0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolution import SpectralDecomposition
-from .pauli import DENSE_QUBIT_CAP, DimensionError, InvariantViolation, PauliSum, to_dense
+from .pauli import DimensionError, InvariantViolation, PauliSum, to_dense
 
 _GIBBS_MAGIC = b"LATGIBBS"
 
@@ -68,12 +68,12 @@ class PureStateEnsemble:
         return rho
 
 
-def bloch_propagate(h0: PauliSum, beta: float, cap: int = DENSE_QUBIT_CAP) -> ThermalState:
+def bloch_propagate(h0: PauliSum, beta: float) -> ThermalState:
     """The Gibbs operator exp(-beta H0), the solution of the symmetric
     imaginary-time equation at ``beta``."""
     if beta < 0:
         raise ValueError("beta must be non-negative")
-    decomp = SpectralDecomposition.for_hamiltonian(h0, cap)
+    decomp = SpectralDecomposition.for_hamiltonian(h0)
     v = decomp.eigenvectors
     rho = (v * np.exp(-beta * decomp.eigenvalues)) @ v.conj().T
     rho = (rho + rho.conj().T) / 2.0

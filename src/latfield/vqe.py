@@ -465,8 +465,6 @@ def phase_scan(
     budget: int,
     seed: int = 0,
     dense_cross: bool | None = None,
-    burn_in_points: int = 6,
-    burn_in_step: float = 0.25,
 ) -> list[ScanRecord]:
     """VQE scan over the mass, reporting the staggered-density order
     parameter (plus a dense cross-value when the oracle is cheap).
@@ -475,14 +473,12 @@ def phase_scan(
     masses pin the ground state near the bare vacuum, where the all-zero
     parameter point is nearly optimal, and each point warm-starts the next
     so the optimizer tracks the ground-state branch across the transition.
-    A few unreported burn-in masses above the top of the scan anneal the
-    warm start before the first reported point.
+    Six unreported burn-in masses, 0.25 apart above the top of the scan,
+    anneal the warm start before the first reported point.
     """
     masses = [float(m) for m in masses]
     if any(b < a for a, b in zip(masses, masses[1:])):
         raise ValueError("masses must be sorted ascending")
-    if burn_in_points > 0 and burn_in_step <= 0:
-        raise ValueError("burn_in_step must be positive")
     if resource.n_sites != template.n_sites:
         raise DimensionError("resource and model site counts differ")
     n = template.n_sites
@@ -500,7 +496,7 @@ def phase_scan(
     # Descending pass with burn-in annealing from above the scan window.
     # Every mass's Hamiltonian is built once; the window's are kept for the
     # ascending pass and the dense cross-check.
-    burn_in = [masses[-1] + burn_in_step * k for k in range(burn_in_points, 0, -1)]
+    burn_in = [masses[-1] + 0.25 * k for k in range(6, 0, -1)]
     found: dict[float, tuple] = {}
     hamiltonians: dict[float, PauliSum] = {}
     warm = np.zeros(ansatz.parameter_count)

@@ -392,6 +392,60 @@ dump_gibbs = true
             assert "np." not in row[1]
 
 
+# Each needs a dense 2^16-state eigendecomposition, above DENSE_QUBIT_CAP.
+CAPPED_16_SITES = {
+    "thirring-correlator": """
+[model]
+n_sites = 16
+mass = 0.5
+coupling = 0.8
+
+[algorithm]
+t_max = 1.0
+t_steps = 3
+p_plus = 1.0
+""",
+    "hadronic-tensor": """
+[model]
+n_sites = 16
+mass = 0.5
+coupling = 0.8
+
+[algorithm]
+t_max = 1.0
+t_steps = 2
+omega_min = 0.0
+omega_max = 2.0
+omega_steps = 3
+momentum = 0.0
+""",
+    "thermal": """
+[model]
+n_sites = 16
+mass = 0.5
+coupling = 0.8
+
+[algorithm]
+beta = 1.0
+quench_mass = 0.3
+quench_coupling = 0.8
+t_max = 1.0
+t_steps = 2
+""",
+    "phase-scan": """
+[model]
+n_sites = 16
+coupling = 1.0
+
+[algorithm]
+mass_min = -0.5
+mass_max = 0.5
+mass_step = 0.5
+method = dense
+""",
+}
+
+
 class TestErrorPaths:
     def test_missing_key_names_it(self, tmp_path, capsys):
         ini = """
@@ -424,20 +478,18 @@ steps = 10
             run_cli("schwinger-quench", QUENCH_INI, tmp_path, "flag", extra=["--threads", "2"])
         assert exc.value.code == 2
 
-    def test_resource_cap_exit_code(self, tmp_path):
-        ini = """
-[model]
-n_sites = 16
-mass = 0.5
-coupling = 0.8
-
-[algorithm]
-t_max = 1.0
-t_steps = 3
-p_plus = 1.0
-"""
-        code, _ = run_cli("thirring-correlator", ini, tmp_path, "cap")
+    @pytest.mark.parametrize("subcommand", sorted(CAPPED_16_SITES))
+    def test_resource_cap_exit_code(self, tmp_path, capsys, subcommand):
+        code, _ = run_cli(subcommand, CAPPED_16_SITES[subcommand], tmp_path, "cap")
         assert code == 3
+        assert "16 qubits" in capsys.readouterr().err
+
+    def test_empty_sector_is_refused_before_the_cap(self, tmp_path, capsys):
+        # No 16-site basis state has charge 9: a configuration error, exit 2.
+        ini = CAPPED_16_SITES["thirring-correlator"].replace("[algorithm]", "[algorithm]\ncharge = 9")
+        code, _ = run_cli("thirring-correlator", ini, tmp_path, "empty")
+        assert code == 2
+        assert "total charge 9" in capsys.readouterr().err
 
     def test_out_of_memory_exit_code(self, tmp_path, capsys, monkeypatch):
         def exhausted(config):
@@ -457,9 +509,9 @@ p_plus = 1.0
 
 class TestImport:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        # Nor scipy.linalg or scipy.sparse: none is imported at module level.
+        # Nor scipy itself: the manifest imports it for its version at run time.
         src = os.path.dirname(os.path.dirname(latfield.__file__))
-        heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+        heavy = ("scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse")
         code = f"import sys, latfield.cli; print([m for m in {heavy!r} if m in sys.modules])"
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(

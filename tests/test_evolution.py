@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+import latfield.pauli
 from latfield.evolution import (
     EvolutionPlan,
     SpectralDecomposition,
@@ -27,6 +28,7 @@ from latfield.models import (
 from latfield.pauli import (
     InvariantViolation,
     PauliSum,
+    ResourceLimitError,
     Sector,
     StateVector,
     expectation,
@@ -176,6 +178,16 @@ class TestExactEvolve:
         del h
         gc.collect()
         assert entry() is None
+
+    def test_cached_decomposition_refused_above_cap(self, monkeypatch):
+        h = build_schwinger(SchwingerParams(4, 0.7, 1.0))
+        neutral = Sector.of_charge(4, 0)
+        for sector in (None, neutral):
+            SpectralDecomposition.for_hamiltonian(h, sector)
+        monkeypatch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 3)
+        for sector in (None, neutral):
+            with pytest.raises(ResourceLimitError, match="4 qubits"):
+                SpectralDecomposition.for_hamiltonian(h, sector)
 
     def test_real_block_decomposition_keeps_one_complex_matrix(self):
         # 11-site Thirring chain in the full space: a real 2048 x 2048 block.

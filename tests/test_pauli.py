@@ -1,17 +1,22 @@
+import importlib
+import inspect
+import pkgutil
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import latfield
+import latfield.pauli
 from latfield.pauli import (
+    CommutingExponential,
     DimensionError,
     InvariantViolation,
     PauliSum,
     PauliTerm,
     ResourceLimitError,
     StateVector,
-    apply_term,
     deserialize,
-    exp_term_apply,
     expectation,
     multiply,
     serialize,
@@ -28,6 +33,17 @@ def random_term(n, rng, unit=False):
         letters = "X" + letters[1:]
     coeff = 1.0 if unit else float(np.round(rng.uniform(-2, 2), 6)) or 1.0
     return PauliTerm(coeff, letters)
+
+
+def apply_one_term(p, s):
+    """``p`` on ``s`` through a one-term sum."""
+    return PauliSum(p.n_qubits, [(p.coefficient, p.letters)]).apply_to(s)
+
+
+def exp_one_term(theta, p, s):
+    """``exp(-i theta p)`` on ``s`` through a one-term sum."""
+    rotation = CommutingExponential(PauliSum(p.n_qubits, [(p.coefficient, p.letters)]), theta)
+    return StateVector(rotation.apply(s.amplitudes))
 
 
 def random_sum(n, n_terms, rng):
@@ -86,11 +102,11 @@ class TestMultiply:
 
 class TestApplyTerm:
     def test_bit_flip(self):
-        out = apply_term(PauliTerm(1.0, "X"), StateVector.from_bits("0"))
+        out = apply_one_term(PauliTerm(1.0, "X"), StateVector.from_bits("0"))
         np.testing.assert_allclose(out.amplitudes, [0, 1])
 
     def test_z_phase(self):
-        out = apply_term(PauliTerm(1.0, "Z"), StateVector.from_bits("1"))
+        out = apply_one_term(PauliTerm(1.0, "Z"), StateVector.from_bits("1"))
         np.testing.assert_allclose(out.amplitudes, [0, -1])
 
     def test_against_dense_6_qubits(self):
@@ -98,7 +114,7 @@ class TestApplyTerm:
         for _ in range(10):
             p = random_term(6, rng)
             s = StateVector(random_state(6, rng))
-            out = apply_term(p, s)
+            out = apply_one_term(p, s)
             expected = dense_term(p.letters, p.value) @ s.amplitudes
             np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
 
@@ -107,7 +123,7 @@ class TestApplyTerm:
         for n in range(1, 9):
             p = random_term(n, rng)
             s = StateVector(random_state(n, rng))
-            out = apply_term(p, s)
+            out = apply_one_term(p, s)
             h = PauliSum(n, [(p.coefficient, p.letters)])
             expected = to_dense(h) @ s.amplitudes
             np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
@@ -116,22 +132,22 @@ class TestApplyTerm:
         rng = np.random.default_rng(13)
         p = random_term(4, rng)
         s = StateVector(random_state(4, rng))
-        assert apply_term(p, s).norm() == pytest.approx(abs(p.coefficient), abs=1e-12)
+        assert apply_one_term(p, s).norm() == pytest.approx(abs(p.coefficient), abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            apply_term(PauliTerm(1.0, "XX"), StateVector.from_bits("0"))
+            apply_one_term(PauliTerm(1.0, "XX"), StateVector.from_bits("0"))
 
 
 class TestExpTermApply:
     def test_zero_angle_identity(self):
         rng = np.random.default_rng(21)
         s = StateVector(random_state(3, rng))
-        out = exp_term_apply(0.0, PauliTerm(1.0, "XYZ"), s)
+        out = exp_one_term(0.0, PauliTerm(1.0, "XYZ"), s)
         np.testing.assert_allclose(out.amplitudes, s.amplitudes, atol=1e-15)
 
     def test_quarter_rotation(self):
-        out = exp_term_apply(np.pi / 2, PauliTerm(1.0, "X"), StateVector.from_bits("0"))
+        out = exp_one_term(np.pi / 2, PauliTerm(1.0, "X"), StateVector.from_bits("0"))
         np.testing.assert_allclose(out.amplitudes, [0, -1j], atol=1e-15)
 
     def test_against_dense_expm(self):
@@ -140,7 +156,7 @@ class TestExpTermApply:
             p = random_term(5, rng, unit=True)
             theta = float(rng.uniform(-3, 3))
             s = StateVector(random_state(5, rng))
-            out = exp_term_apply(theta, p, s)
+            out = exp_one_term(theta, p, s)
             u = scipy.linalg.expm(-1j * theta * dense_term(p.letters))
             expected = u @ s.amplitudes
             fidelity = abs(np.vdot(expected, out.amplitudes))
@@ -152,18 +168,14 @@ class TestExpTermApply:
             p = random_term(4, rng, unit=True)
             theta = float(rng.uniform(-3, 3))
             s = StateVector(random_state(4, rng))
-            back = exp_term_apply(-theta, p, exp_term_apply(theta, p, s))
+            back = exp_one_term(-theta, p, exp_one_term(theta, p, s))
             np.testing.assert_allclose(back.amplitudes, s.amplitudes, atol=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(24)
         p = random_term(6, rng, unit=True)
         s = StateVector(random_state(6, rng))
-        assert exp_term_apply(1.234, p, s).norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_non_unit_coefficient_rejected(self):
-        with pytest.raises(ValueError):
-            exp_term_apply(0.1, PauliTerm(0.5, "X"), StateVector.from_bits("0"))
+        assert exp_one_term(1.234, p, s).norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExpectation:
@@ -228,10 +240,29 @@ class TestToDense:
         h = random_sum(4, 10, rng)
         np.testing.assert_allclose(to_dense(h), dense_sum(h), atol=1e-13)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         h = PauliSum(4, [(1.0, "XXXX")])
-        with pytest.raises(ResourceLimitError):
-            to_dense(h, cap=3)
+        monkeypatch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 3)
+        with pytest.raises(ResourceLimitError, match="4 qubits"):
+            to_dense(h)
+
+
+def test_no_callable_takes_a_cap_parameter():
+    # The dense-size rule is pauli.check_dense alone; nothing passes a cap.
+    def signatures(obj):
+        if inspect.isclass(obj):
+            for member in vars(obj).values():
+                yield from signatures(getattr(member, "__func__", member))
+        elif inspect.isfunction(obj):
+            yield obj.__qualname__, inspect.signature(obj)
+
+    found = []
+    for info in pkgutil.iter_modules(latfield.__path__):
+        module = importlib.import_module(f"latfield.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) == module.__name__:
+                found += [name for name, sig in signatures(obj) if "cap" in sig.parameters]
+    assert found == []
 
 
 class TestPauliSum:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import latfield.pauli
 from latfield import structure
 from latfield.evolution import exact_evolve, make_plan, trotter_evolve
 from latfield.models import (
@@ -293,7 +294,7 @@ class TestTwoPoint:
                     bra, ket = u @ psi.amplitudes, u @ (b @ psi.amplitudes)
                     assert abs(table[row, col] - np.vdot(bra, a @ ket)) <= 1e-12
 
-    def test_trotter_path_close_to_exact_path(self):
+    def test_trotter_path_close_to_exact_path(self, monkeypatch):
         h = build_thirring(MODEL6)
         psi = prepare_sector_state(h, SectorSpec(0))
         times = tuple(np.linspace(0.0, 2.0, 5))
@@ -304,7 +305,8 @@ class TestTwoPoint:
             positions=(0, 1, 2),
         )
         exact = two_point(h, psi, req)
-        trotter = two_point(h, psi, req, cap=0, trotter_steps_per_unit=128)
+        monkeypatch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 0)
+        trotter = two_point(h, psi, req, trotter_steps_per_unit=128)
         np.testing.assert_allclose(trotter, exact, atol=1e-3)
 
     def test_trotter_path_runs_in_the_state_sector(self, monkeypatch):
@@ -322,7 +324,8 @@ class TestTwoPoint:
         op = hopping_bilinear(6, 0)
         times, positions, per_unit = tuple(np.linspace(0.0, 2.0, 5)), (0, 2, 4), 16
         req = CorrelatorRequest(op_a=op, op_b=op, times=times, positions=positions)
-        table = two_point(h, psi, req, cap=0, trotter_steps_per_unit=per_unit)
+        monkeypatch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 0)
+        table = two_point(h, psi, req, trotter_steps_per_unit=per_unit)
         assert swept and all(sector == psi.sector for sector in swept)
         bra = psi.on(Sector(6))
         ket = op.apply_to(bra)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import latfield.pauli
 from latfield.fermions import jw_creation
 from latfield.models import ThirringParams, build_thirring, staggered_density_op, total_z
 from latfield.pauli import InvariantViolation, PauliSum, ResourceLimitError
@@ -71,9 +72,10 @@ class TestBlochPropagate:
         with pytest.raises(ValueError):
             bloch_propagate(H0, -0.1)
 
-    def test_cap_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            bloch_propagate(H0, 1.0, cap=3)
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 3)
+        with pytest.raises(ResourceLimitError, match="4 qubits"):
+            bloch_propagate(H0, 1.0)
 
 
 class TestDecompose:
