@@ -1,8 +1,9 @@
 """Experiment runner: named subcommands over INI configs, deterministic CSV
 outputs, and a JSON manifest per run.
 
-Exit codes: 0 success, 2 configuration error, 3 dense operator above
-``DENSE_QUBIT_CAP`` qubits or out of memory, 4 internal invariant violation.
+Exit codes: 0 success, 2 configuration error or an output path that cannot
+be created or written, 3 dense operator above ``DENSE_QUBIT_CAP`` qubits or
+out of memory, 4 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -205,6 +206,11 @@ def _scan_masses(algo: dict) -> list[float]:
     if algo["mass_max"] < algo["mass_min"]:
         raise ConfigError("'mass_max' must not be below 'mass_min'")
     count = int(round((algo["mass_max"] - algo["mass_min"]) / algo["mass_step"])) + 1
+    if count < 2:
+        raise ConfigError(
+            "a phase scan needs at least two masses: 'mass_min', 'mass_max' and "
+            "'mass_step' in [algorithm] give one"
+        )
     return [round(algo["mass_min"] + k * algo["mass_step"], 12) for k in range(count)]
 
 
@@ -513,6 +519,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # load_run_config reports its own read errors
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

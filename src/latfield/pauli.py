@@ -24,11 +24,11 @@ and Y letters) times a phase, so ``(H psi)[k] = sum_x d_x[k] psi[k ^ x]``
 with one complex diagonal ``d_x`` per distinct mask, in first-appearance
 order.  Each ``d_x`` accumulates its terms in storage order; a nonzero
 constant offset comes first, as the seed of ``d_0``, so every matrix
-element sums exactly as a term-by-term fill would.  A sum builds these
-diagonals once, on first use, and keeps them.  ``Sector.compile`` builds
-the same form on a charge sector straight from the terms, evaluated only
-on the sector's states, and every kernel reads that form: one gather
-applies it, one scatter fills dense matrices from it, and the
+element sums exactly as a term-by-term fill would.  ``Sector.compile``
+builds this form on a sector straight from the terms, evaluated only on
+the sector's states, and keeps it while the sum lives; the full space is
+the trivial sector, compiled the same way.  Every kernel reads that form:
+one gather applies it, one scatter fills dense matrices from it, and the
 commuting-group exponentials rotate with it.
 
 A :class:`StateVector` carries its sector (the full space is the trivial
@@ -132,11 +132,6 @@ class PauliTerm:
         of ``z`` for Z or Y."""
         return _masks(self.letters)[:2]
 
-    @property
-    def weight(self) -> int:
-        """Number of non-identity letters."""
-        return sum(1 for c in self.letters if c != "I")
-
     def adjoint(self) -> "PauliTerm":
         if self.imag:
             return PauliTerm(-self.coefficient, self.letters, True)
@@ -189,7 +184,7 @@ class StateVector:
     """Normalized complex amplitudes on the basis of its ``sector`` (the
     full space when None is given): ``sector_amplitudes[i]`` belongs to
     basis state ``sector.indices[i]``.  ``amplitudes`` is the full ``2^n``
-    view, for oracles and the full-space kernels; ``on`` is the one
+    view, for oracles and ``PauliSum.apply_to``; ``on`` is the one
     conversion between sectors."""
 
     __slots__ = ("sector_amplitudes", "sector")
@@ -300,7 +295,6 @@ class PauliSum:
         "hermitian",
         "_strings",
         "_coeffs",
-        "_flip_groups",
         "__weakref__",
     )
 
@@ -346,7 +340,6 @@ class PauliSum:
         self.hermitian = hermitian
         self._strings = tuple(strings)
         self._coeffs = np.asarray(coeffs, dtype=complex)
-        self._flip_groups = None
 
     # -- views ---------------------------------------------------------
 
@@ -450,44 +443,31 @@ class PauliSum:
 
     # -- kernels -------------------------------------------------------
 
-    def flip_groups(self) -> tuple[tuple[int, np.ndarray, np.ndarray | None], ...]:
-        """The compiled form: ``(x, d_x, source)`` per distinct flip mask ``x``.
-
-        ``(H psi)[k] = sum_x d_x[k] * psi[k ^ x]``; ``source`` is the index
-        array ``k ^ x``, or None for the diagonal mask 0.  Built once on
-        first use; the arrays are read-only.
-        """
-        if self._flip_groups is None:
-            self._flip_groups = _compile(self, None)[0]
-        return self._flip_groups
-
     def apply_to(self, s: StateVector) -> StateVector:
-        """Return ``H|s>``: the gather kernel over the full space."""
+        """Return ``H|s>`` over the full space, ``Sector(n)``."""
         if s.n_qubits != self.n_qubits:
             raise DimensionError("operator and state qubit counts differ")
-        return StateVector(_gather(self.flip_groups(), s.amplitudes))
+        return StateVector(Sector(self.n_qubits).apply(self, s.amplitudes))
 
 
-def _compile(h: PauliSum, indices: np.ndarray | None):
-    """``h`` on the sorted basis ``indices`` (all ``2^n`` states when None),
-    built from its terms: ``((x, d, gather) per flip mask x, first leaking
-    mask or None)``.  A mask's terms are evaluated only on the basis and on
-    the states ``indices ^ x`` outside it, where an element leaks when it
-    exceeds 1e-12 of the largest element on those rows; such a row gathers
-    from itself with weight zero.  The constant offset is a diagonal term.
+def _compile(h: PauliSum, indices: np.ndarray):
+    """``h`` on the sorted basis ``indices``, built from its terms:
+    ``((x, d, gather) per flip mask x, first leaking mask or None)``.  A
+    mask's terms are evaluated only on the basis and on the states
+    ``indices ^ x`` outside it, where an element leaks when it exceeds
+    1e-12 of the largest element on those rows; such a row gathers from
+    itself with weight zero.  The constant offset is a diagonal term.
     """
     masks: dict[int, list] = {0: [(complex(h.constant_offset), 0)]} if h.constant_offset else {}
     for letters, coeff in zip(h._strings, h._coeffs):
         xmask, zmask, ny = _masks(letters)
         masks.setdefault(xmask, []).append((complex(coeff) * 1j**ny, zmask))
-    full = indices is None
-    indices = np.arange(2**h.n_qubits) if full else indices
     dim = indices.size
     form, escapes, largest = [], [], 0.0
     for xmask, terms in masks.items():
-        gather = targets = indices ^ xmask if xmask else None
-        inside = None
-        if xmask and not full:
+        gather = targets = inside = None
+        if xmask:
+            targets = indices ^ xmask
             gather = np.minimum(np.searchsorted(indices, targets), dim - 1)
             inside = indices[gather] == targets
             inside = None if inside.all() else inside
@@ -530,7 +510,7 @@ class Sector:
 
     __slots__ = ("n_qubits", "_indices", "_key", "_z_values")
 
-    # Restricted forms per Hamiltonian and sector, kept while ``h`` lives.
+    # Compiled forms per Hamiltonian and sector, kept while ``h`` lives.
     _forms: "weakref.WeakKeyDictionary[PauliSum, dict]" = weakref.WeakKeyDictionary()
 
     def __init__(self, n_qubits: int, indices: np.ndarray | None = None):
@@ -570,14 +550,13 @@ class Sector:
 
     def compile(self, h: PauliSum):
         """``h`` on the sector: ``(x, d, gather)`` per flip mask ``x``, with
-        ``(h psi)[i] = sum_x d[i] psi[gather[i]]`` on sector amplitudes.  The
-        full space hands back ``h.flip_groups()`` itself.
+        ``(h psi)[i] = sum_x d[i] psi[gather[i]]`` on sector amplitudes,
+        built once per sector while ``h`` lives.
 
         Raises InvariantViolation if ``h`` maps a sector state outside the
         sector: an element counts when it exceeds 1e-12 of the largest one
         on the rows the sector touches, its states and those they map to.
-        A sector's form is built from the terms of ``h`` on those rows alone,
-        never from ``h.flip_groups()``.
+        A sector's form is built from the terms of ``h`` on those rows alone.
         """
         form, leak = self._form(h)
         if leak is not None:
@@ -612,11 +591,9 @@ class Sector:
         """(compiled form, first leaking flip mask or None)."""
         if h.n_qubits != self.n_qubits:
             raise DimensionError("operator and sector qubit counts differ")
-        if self._indices is None:
-            return h.flip_groups(), None
         forms = self._forms.setdefault(h, {})
         if self not in forms:
-            forms[self] = _compile(h, self._indices)
+            forms[self] = _compile(h, self.indices)
         return forms[self]
 
 

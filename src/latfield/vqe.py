@@ -2,10 +2,9 @@
 
 Ansatz circuits are sequences of layers acting on the amplitudes of their
 initial state, in that state's ``Sector``.  A generator layer evolves the
-state by ``exp(-i theta G)`` under one shared angle:
-exactly over G's flip-mask parts when its terms commute pairwise, else
-through G's eigendecomposition on the sector (desk-scale only).  A
-local-Z layer carries one angle per qubit.  The Schwinger ansatz keeps the
+state by ``exp(-i theta G)`` under one shared angle, through G's
+eigendecomposition on the sector (desk-scale only).  A local-Z layer
+carries one angle per qubit.  The Schwinger ansatz keeps the
 bare vacuum's zero charge, so it runs in that sector, of dimension
 C(N, N/2) instead of 2^N; the phase scan is that ansatz plus the objective.
 
@@ -14,7 +13,7 @@ free once H|psi> is in hand) and, when asked, the exact gradient by
 adjoint differentiation (Jones & Gacon, arXiv:2009.02823): the forward
 pass keeps each layer's output, and a backward pass carries
 ``lam = H|psi>`` back through the inverse layers, reading each layer's
-derivative on the way.  A generator layer with an eigenbasis works in its
+derivative on the way.  A generator layer works in its eigenbasis
 coordinates, where a basis-state input is one row of the eigenvectors, so
 a 12-site energy-and-gradient evaluation of two XY layers costs six
 sector matrix-vector products against four for the energy alone.
@@ -29,12 +28,12 @@ results reproduce exactly for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import SpectralDecomposition, greedy_commuting_groups
+from .evolution import SpectralDecomposition
 from .models import (
     ResourceParams,
     SchwingerParams,
@@ -45,7 +44,6 @@ from .models import (
     staggered_density_op,
 )
 from .pauli import (
-    CommutingExponential,
     DimensionError,
     InvariantViolation,
     PauliSum,
@@ -77,28 +75,23 @@ class ParamPoint:
 
 @dataclass(frozen=True)
 class GeneratorLayer:
-    """exp(-i theta G) under one shared angle."""
+    """exp(-i theta G) under one shared angle, applied in the eigenbasis of
+    G on the sector, whether or not the terms of G commute."""
 
     generator: PauliSum
-    exact_product: bool = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.generator.hermitian:
             raise InvariantViolation("layer generators must be Hermitian")
-        groups = greedy_commuting_groups(self.generator.terms)
-        object.__setattr__(self, "exact_product", len(groups) <= 1)
 
     @property
     def arity(self) -> int:
         return 1
 
     def forward(self, theta: float, amps: np.ndarray, sector: Sector, support=None):
-        """``(exp(-i theta G) amps, memo)``, where ``memo`` holds what
-        ``backward`` needs: the output's eigenbasis coordinates, or None when
-        the terms of G commute.  ``support`` lists every nonzero position of
-        ``amps`` when known."""
-        if self.exact_product:
-            return CommutingExponential(self.generator, theta, sector).apply(amps), None
+        """``(exp(-i theta G) amps, memo)``, where ``memo``, the output's
+        eigenbasis coordinates, is what ``backward`` needs.  ``support``
+        lists every nonzero position of ``amps`` when known."""
         decomp = SpectralDecomposition.for_hamiltonian(self.generator, sector=sector)
         coords = np.exp(-1j * theta * decomp.eigenvalues) * decomp.coordinates(amps, support)
         return decomp.eigenvectors @ coords, coords
@@ -106,11 +99,8 @@ class GeneratorLayer:
     def backward(self, theta: float, lam: np.ndarray, out: np.ndarray, memo, sector, carry):
         """``(dE/dtheta, lam before the layer, or None unless carry)`` from
         ``lam``, the adjoint state at the layer's output ``out``: the
-        derivative is ``2 Im <lam|G|out>``, and ``lam`` goes back through the
-        inverse layer."""
-        if self.exact_product:
-            derivative = 2.0 * np.vdot(lam, sector.apply(self.generator, out)).imag
-            return derivative, (self.forward(-theta, lam, sector)[0] if carry else None)
+        derivative is ``2 Im <lam|G|out>``, read in the eigenbasis, and
+        ``lam`` goes back through the inverse layer."""
         decomp = SpectralDecomposition.for_hamiltonian(self.generator, sector=sector)
         w, mu = decomp.eigenvalues, decomp.coordinates(lam)
         carried = decomp.eigenvectors @ (np.exp(1j * theta * w) * mu) if carry else None

@@ -70,9 +70,11 @@ def letterwise_commute(a, b):
 
 def restricted_form(h, indices):
     """``(form, first leaking mask or None)`` of ``h`` on sorted ``indices``,
-    restricted from its full-space ``flip_groups()``: the largest element is
-    taken over all ``2^n`` rows."""
-    groups = h.flip_groups()
+    restricted from its full-space form ``Sector(n).compile(h)``: the largest
+    element is taken over all ``2^n`` rows."""
+    from latfield.pauli import Sector
+
+    groups = Sector(h.n_qubits).compile(h)
     rows = np.arange(indices.size)
     largest = max((np.abs(d).max() for _, d, _ in groups), default=0.0)
     form, leak = [], None

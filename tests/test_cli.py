@@ -58,8 +58,8 @@ def full_space_quench_rows(n, t_max, steps, record_every):
     for step in range(1, steps + 1):
         for group in plan.grouping:
             for i in group:
-                theta = dt * plan.terms[i].coefficient
-                rotated = apply_string(plan.terms[i].letters, amps)
+                theta = dt * h.terms[i].coefficient
+                rotated = apply_string(h.terms[i].letters, amps)
                 amps = np.cos(theta) * amps - 1j * np.sin(theta) * rotated
         amps = np.exp(-1j * dt * h.constant_offset) * amps
         if step % record_every == 0 or step == steps:
@@ -499,6 +499,38 @@ steps = 10
         code, _ = run_cli("schwinger-quench", QUENCH_INI, tmp_path, "oom")
         assert code == 3
         assert "out of memory" in capsys.readouterr().err
+
+    def test_uncreatable_output_directory(self, tmp_path, capsys):
+        # A regular file where a parent directory should be.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = tmp_path / "quench.ini"
+        cfg.write_text(QUENCH_INI)
+        out = blocker / "out"
+        code = main(["schwinger-quench", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert str(out) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["dense", "vqe"])
+    @pytest.mark.parametrize(
+        "low, high, step", [(0.5, 0.5, 0.5), (0.0, 0.2, 1.0)], ids=["equal-bounds", "wide-step"]
+    )
+    def test_single_mass_scan_refused_before_solving(
+        self, tmp_path, capsys, monkeypatch, method, low, high, step
+    ):
+        def solved(*args, **kwargs):
+            raise AssertionError("the scan was solved")
+
+        monkeypatch.setattr(cli, "phase_scan", solved)
+        monkeypatch.setattr(cli, "prepare_sector_state", solved)
+        ini = (
+            "[model]\nn_sites = 4\ncoupling = 2.0\nspacing = 0.5\n\n[algorithm]\n"
+            f"mass_min = {low}\nmass_max = {high}\nmass_step = {step}\nmethod = {method}\n"
+        )
+        code, _ = run_cli("phase-scan", ini, tmp_path, "one")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("mass_min", "mass_max", "mass_step"))
 
     def test_unreadable_config(self, tmp_path):
         code = main(

@@ -46,7 +46,7 @@ class TestPlan:
         h = build_schwinger(SchwingerParams(6, 0.5, 1.0))
         plan = make_plan(h, 1.0, 4)
         flat = sorted(i for g in plan.grouping for i in g)
-        assert flat == list(range(len(plan.terms)))
+        assert flat == list(range(len(h.terms)))
 
     def test_greedy_splits_bonds_even_odd_plus_diagonal(self):
         h = build_schwinger(SchwingerParams(6, 0.5, 1.0))
@@ -54,16 +54,14 @@ class TestPlan:
         # Odd bonds, even bonds, and one diagonal group.
         assert len(plan.grouping) == 3
 
-    def test_invalid_grouping_rejected(self):
-        h = diagonal_hamiltonian()
-        terms = h.terms
-        with pytest.raises(InvariantViolation):
-            EvolutionPlan(h, 1.0, 2, ((0, 1),), terms)
-
-    def test_noncommuting_group_rejected(self):
+    def test_plan_groups_its_own_terms(self):
         h = PauliSum(1, [(1.0, "X"), (1.0, "Z")])
-        with pytest.raises(InvariantViolation):
-            EvolutionPlan(h, 1.0, 2, ((0, 1),), h.terms)
+        assert EvolutionPlan(h, 1.0, 2).grouping == ((0,), (1,))
+        # No outside grouping can be handed in.
+        with pytest.raises(TypeError):
+            EvolutionPlan(h, 1.0, 2, ((0, 1),))
+        with pytest.raises(InvariantViolation, match="Hermitian"):
+            EvolutionPlan(PauliSum(1, [(1j, "X")], hermitian=False), 1.0, 2)
 
     def test_bad_steps(self):
         with pytest.raises(ValueError):
@@ -122,7 +120,7 @@ class TestTrotterEvolve:
         for _ in range(plan.steps):
             for group in plan.grouping:
                 for i in group:
-                    term = plan.terms[i]
+                    term = h.terms[i]
                     theta = dt * term.coefficient
                     amps = np.cos(theta) * amps - 1j * np.sin(theta) * apply_string(
                         term.letters, amps

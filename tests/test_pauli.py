@@ -15,6 +15,7 @@ from latfield.pauli import (
     PauliSum,
     PauliTerm,
     ResourceLimitError,
+    Sector,
     StateVector,
     deserialize,
     expectation,
@@ -291,6 +292,18 @@ class TestPauliSum:
         assert terms_commute(PauliTerm(1.0, "XX"), PauliTerm(1.0, "YY"))
         assert not terms_commute(PauliTerm(1.0, "XI"), PauliTerm(1.0, "YI"))
         assert terms_commute(PauliTerm(1.0, "XX"), PauliTerm(1.0, "IX"))
+
+    def test_full_space_compiles_as_the_trivial_sector(self):
+        # One compiled-form cache: apply_to keeps its form under Sector(n),
+        # as any sector does, and the sum holds no form of its own.
+        h = PauliSum(3, [(0.5, "XYZ"), (-1.0, "ZIZ"), (0.3, "IXI")], constant_offset=0.25)
+        assert not hasattr(h, "flip_groups")
+        s = StateVector(random_state(3, np.random.default_rng(5)))
+        out = h.apply_to(s)
+        assert list(Sector._forms[h]) == [Sector(3)]
+        form, leak = Sector._forms[h][Sector(3)]
+        assert leak is None and Sector(3).compile(h) is form
+        np.testing.assert_allclose(out.amplitudes, dense_sum(h) @ s.amplitudes, rtol=0, atol=1e-12)
 
 
 class TestSerialization:

@@ -116,7 +116,7 @@ def test_trotter_sweep_matches_group_exponentials(data, h, t):
     plan = make_plan(h, t, 1)
     expected = np.exp(-1j * t * h.constant_offset) * amps
     for group in plan.grouping:
-        terms = [plan.terms[i] for i in group]
+        terms = [h.terms[i] for i in group]
         part = PauliSum(h.n_qubits, [(term.coefficient, term.letters) for term in terms])
         expected = scipy.linalg.expm(-1j * t * dense_sum(part)) @ expected
     out = trotter_evolve(plan, StateVector(amps)).amplitudes
@@ -158,7 +158,9 @@ def test_greedy_groups_match_letterwise_oracle(h):
                 break
         else:
             groups.append([i])
-    assert greedy_commuting_groups(terms) == tuple(tuple(group) for group in groups)
+    oracle = tuple(tuple(group) for group in groups)
+    assert greedy_commuting_groups(terms) == oracle
+    assert make_plan(h, 1.0, 1).grouping == oracle
 
 
 @PROPERTY_SETTINGS
@@ -196,7 +198,7 @@ def test_sector_trajectory_matches_full_space(data, h, t):
     s0 = StateVector(amps / np.linalg.norm(amps))
     plan = make_plan(h, t, 3)
     parts = [
-        PauliSum(n, [(plan.terms[i].coefficient, plan.terms[i].letters) for i in group])
+        PauliSum(n, [(h.terms[i].coefficient, h.terms[i].letters) for i in group])
         for group in plan.grouping
     ]
     if all(sector.closed_under(part) for part in parts):

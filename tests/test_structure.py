@@ -137,7 +137,7 @@ class TestSectorPreparation:
         sectors = [Sector.of_charge(n, charge) for charge in range(n // 2 - n, n // 2 + 1)]
         matrices = [sector.matrix(h) for sector in sectors]
         # Built from the terms on the sectors' rows, never in the full space.
-        assert h._flip_groups is None
+        assert Sector(n) not in Sector._forms[h]
         for sector, mat in zip(sectors, matrices):
             form, leak = restricted_form(h, sector.indices)
             assert leak is None
