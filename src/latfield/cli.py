@@ -205,7 +205,8 @@ def _scan_masses(algo: dict) -> list[float]:
         raise ConfigError("'mass_step' in [algorithm] must be positive")
     if algo["mass_max"] < algo["mass_min"]:
         raise ConfigError("'mass_max' must not be below 'mass_min'")
-    count = int(round((algo["mass_max"] - algo["mass_min"]) / algo["mass_step"])) + 1
+    # Floored, never past 'mass_max'; the slack keeps the top mass of a step that divides the range.
+    count = int((algo["mass_max"] - algo["mass_min"]) / algo["mass_step"] + 1e-9) + 1
     if count < 2:
         raise ConfigError(
             "a phase scan needs at least two masses: 'mass_min', 'mass_max' and "

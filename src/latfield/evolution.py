@@ -7,11 +7,10 @@ factor commutes, so a group's exponential is built from its flip-mask
 parts (one phase vector for the diagonal part, one rotation per flip
 mask) and only the group order shapes the Trotter error.  A dense
 eigendecomposition propagator serves as the exact reference; the error
-diagnostic is the l2 distance between the two paths.  Its sector block is
-decomposed in real arithmetic whenever it has no imaginary part, and its
-one eigenvector array serves both ``V`` and ``V^H``.  Sweeps run in the
-initial state's sector, which each commuting group must map into itself,
-and yield states in that sector.
+diagnostic is the l2 distance between the two paths; its sector block is
+split by the bit complement and reversal symmetries it has, each part in
+real arithmetic when real.  Sweeps run in the initial state's sector,
+which each commuting group must map into itself, and yield states there.
 
 Plans are immutable and shareable; one evolution mutates one state under a
 single-writer contract, and independent trajectories (e.g. points of a
@@ -120,14 +119,12 @@ def trotter_evolve(plan: EvolutionPlan, s0: StateVector, reverse: bool = False) 
 class SpectralDecomposition:
     """Eigendecomposition of a Hermitian PauliSum on one sector (the full
     space by default) that ``h`` maps into itself, cached for reuse across
-    many evolution times on the same operator.
+    many evolution times on the same operator; ``eigenvalues`` ascend.
 
-    A block with no imaginary part (every lattice Hamiltonian and XY
-    generator here) is decomposed as real symmetric, so its eigenvectors
-    are real up to one cast to complex; other blocks go to the complex
-    solver.  ``eigenvectors`` is the only d x d array kept: evolution forms
-    ``V^H a`` as ``conj(conj(a) V)`` instead of storing the adjoint.
-    """
+    Bit complement and reversal (``Sector.symmetries``) that leave the block
+    unchanged to 1e-12 of its largest entry split it, one block per group
+    character; a real ``V_b`` stays real, so the 12-site XY generator's four
+    blocks stay in cache.  Unsplit, ``eigenvectors`` is the one array kept."""
 
     # Per Hamiltonian, alive as long as it is: {sector: decomposition}.
     _cache: "weakref.WeakKeyDictionary[PauliSum, dict]" = weakref.WeakKeyDictionary()
@@ -137,11 +134,35 @@ class SpectralDecomposition:
         block = self.sector.matrix(h)
         if not block.imag.any():
             block = block.real
-        self.eigenvalues, vectors = np.linalg.eigh(block)
-        # Freed before the cast: the peak is the block with the real
-        # eigenvectors, or the eigenvectors with their complex copy.
-        del block
-        self.eigenvectors = vectors.astype(complex, copy=False)
+        basis = _symmetry_basis(block, self.sector.symmetries)
+        self._blocks = None if basis is None else []
+        if basis is None:
+            self.eigenvalues, vectors = np.linalg.eigh(block)
+            # Freed before the cast: the peak is the block with the real
+            # eigenvectors, or the eigenvectors with their complex copy.
+            del block
+            self._vectors = vectors.astype(complex, copy=False)
+            return
+        self._into, self._out_of, edges = basis
+        values = []
+        for start, stop in zip(edges[:-1], edges[1:]):
+            # H commutes with the character's projector P: <u_a|H|u_b> is
+            # <r_a|H P|r_b> over the norms, r_a in column 0 of ``index``.
+            index, weight = (table[start:stop] for table in self._into)
+            cols = sum(block[np.ix_(index[:, 0], i)] * w for i, w in zip(index.T, weight.T))
+            values.append(np.linalg.eigh(index.shape[1] * weight[:, [0]] * cols))
+            self._blocks.append((start, stop, values[-1][1]))
+        values = np.concatenate([value for value, _ in values])
+        self._order = np.argsort(values, kind="stable")
+        self._rank = np.argsort(self._order)
+        self.eigenvalues = values[self._order]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Columns ordered as ``eigenvalues``; split, the identity expanded per use."""
+        if self._blocks is None:
+            return self._vectors
+        return np.stack([self.expand(e) for e in np.eye(self.eigenvalues.size, dtype=complex)], 1)
 
     @classmethod
     def for_hamiltonian(
@@ -157,22 +178,72 @@ class SpectralDecomposition:
             per_sector[sector] = cls(h, sector)
         return per_sector[sector]
 
-    def coordinates(self, amps: np.ndarray, support: np.ndarray | None = None) -> np.ndarray:
-        """``V^H a`` as ``conj(conj(a) V)``, reading the one array ``V``; only
-        its rows in ``support`` (every nonzero position of ``a``) if given."""
-        v = self.eigenvectors
-        if support is not None:
-            amps, v = amps[support], v[support]
-        return np.conj(np.conj(amps) @ v)
+    def coordinates(self, amps: np.ndarray) -> np.ndarray:
+        """``V^H a``, ordered as ``eigenvalues``; unsplit, ``conj(conj(a) V)`` on the one ``V``."""
+        if self._blocks is None:
+            return np.conj(np.conj(amps) @ self._vectors)
+        adapted = np.einsum("ij,ij->i", self._into[1], amps[self._into[0]], dtype=complex)
+        return self._products(adapted, adjoint=True)[self._order]
+
+    def expand(self, coords: np.ndarray) -> np.ndarray:
+        """``V c``: the sector amplitudes of eigenbasis coordinates ``c``."""
+        if self._blocks is None:
+            return self._vectors @ coords
+        adapted = self._products(coords[self._rank].astype(complex, copy=False), adjoint=False)
+        return np.einsum("ij,ij->i", self._out_of[1], adapted[self._out_of[0]])
+
+    def _products(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
+        """``V_b^H x_b`` (or ``V_b x_b``) per block; a real ``V_b`` on ``x_b`` as (d_b, 2) reals."""
+        out = np.empty_like(x)
+        pairs, out_pairs = x.view(float).reshape(-1, 2), out.view(float).reshape(-1, 2)
+        for start, stop, v in self._blocks:
+            if np.iscomplexobj(v):
+                out[start:stop] = (v.conj().T if adjoint else v) @ x[start:stop]
+            else:
+                np.matmul(v.T if adjoint else v, pairs[start:stop], out=out_pairs[start:stop])
+        return out
 
     def evolve_amplitudes(self, t: float, amps: np.ndarray) -> np.ndarray:
         """exp(-i H t) on amplitudes in the sector's coordinates."""
-        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * self.coordinates(amps))
+        return self.expand(np.exp(-1j * self.eigenvalues * t) * self.coordinates(amps))
 
     def evolve(self, t: float, s: StateVector) -> StateVector:
         """``exp(-i H t) s`` in the decomposition's sector."""
         amps = s.on(self.sector).sector_amplitudes
         return StateVector(self.evolve_amplitudes(t, amps), self.sector)
+
+
+def _symmetry_basis(block: np.ndarray, candidates: tuple[np.ndarray, ...]):
+    """None, or ``(into, out_of, edges)``: the real basis splitting ``block`` by the
+    ``candidates`` (image positions) that leave it unchanged, orbit representatives
+    projected on each group character ``(-1)^popcount(c & j)``, one block between
+    ``edges``; an ``(index, weight)`` table gives ``sum_j weight[:, j] x[index[:, j]]``."""
+    tolerance = 1e-12 * np.abs(block).max(initial=0.0)
+    dim, diagonal = block.shape[0], block.diagonal()
+    words, step = [np.arange(dim)], dim // 8 + 1
+    for p in candidates:
+        # block[p][:, p] == block: the diagonal, then an eighth of the rows at
+        # a time, so a rejection is cheap and no full-size copy is made.
+        rows = (slice(k, k + step) for k in range(0, dim, step))
+        if np.abs(diagonal[p] - diagonal).max(initial=0.0) <= tolerance and all(
+            np.abs(block[p[r]][:, p] - block[r]).max() <= tolerance for r in rows
+        ):
+            words += [p[w] for w in words]
+    if len(words) == 1:
+        return None
+    images = np.stack(words, axis=1)
+    size = images.shape[1]
+    characters = 1.0 - 2.0 * (np.bitwise_count(np.arange(size)[:, None] & np.arange(size)) & 1)
+    reps = np.flatnonzero(images.min(axis=1) == np.arange(dim))
+    fixed = images[reps] == reps[:, None]
+    stabilizer = fixed.sum(axis=1)
+    # A projection is zero unless the character is trivial on the stabilizer.
+    c, r = np.nonzero((fixed @ characters).T == stabilizer)
+    index, weight = images[reps[r]], characters[c] / np.sqrt(size * stabilizer[r])[:, None]
+    # Every state is in ``index`` size times; summed, its weights invert.
+    back = np.argsort(index, axis=None, kind="stable").reshape(dim, size)
+    edges = np.flatnonzero(np.diff(c, prepend=-1, append=size))
+    return (index, weight), (back // size, weight.ravel()[back]), edges
 
 
 def exact_evolve(h: PauliSum, t: float, s0: StateVector) -> StateVector:

@@ -306,8 +306,3 @@ def build_resource_xy(params: ResourceParams) -> PauliSum:
     for q in range(n):
         pairs.append((params.b_field, letters_at(n, {q: "Z"})))
     return PauliSum(n, pairs)
-
-
-def local_z(j: int, delta: float, n_sites: int) -> PauliSum:
-    """Single-qubit rotation generator (delta/2) Z_j."""
-    return PauliSum(n_sites, [(delta / 2.0, letters_at(n_sites, {j: "Z"}))])

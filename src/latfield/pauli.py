@@ -508,7 +508,7 @@ class Sector:
     with the same basis compare equal.
     """
 
-    __slots__ = ("n_qubits", "_indices", "_key", "_z_values")
+    __slots__ = ("n_qubits", "_indices", "_key", "_z_values", "_symmetries")
 
     # Compiled forms per Hamiltonian and sector, kept while ``h`` lives.
     _forms: "weakref.WeakKeyDictionary[PauliSum, dict]" = weakref.WeakKeyDictionary()
@@ -517,7 +517,7 @@ class Sector:
         self.n_qubits = n_qubits
         self._indices = None if indices is None else np.asarray(indices, dtype=np.int64)
         self._key = (n_qubits, None if indices is None else self._indices.tobytes())
-        self._z_values = None
+        self._z_values = self._symmetries = None
 
     @classmethod
     def of_charge(cls, n_qubits: int, total_charge: int) -> "Sector":
@@ -541,6 +541,18 @@ class Sector:
             z.flags.writeable = False
             self._z_values = z
         return self._z_values
+
+    @property
+    def symmetries(self) -> tuple[np.ndarray, ...]:
+        """Bit complement and reversal, if they map the sector into itself, as image positions."""
+        if self._symmetries is None:
+            n, indices = self.n_qubits, self.indices
+            reversal = (indices[:, None] >> np.arange(n) & 1) @ (1 << np.arange(n)[::-1])
+            found = [(m, np.searchsorted(indices, m)) for m in (indices ^ (2**n - 1), reversal)]
+            # An image outside the sector reads another state at its (clipped) position.
+            closed = [p for m, p in found if self.dim and (indices.take(p, mode="clip") == m).all()]
+            self._symmetries = tuple(closed)
+        return self._symmetries
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Sector) and self._key == other._key

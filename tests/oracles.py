@@ -179,3 +179,11 @@ def product_schwinger(params):
             flux = PauliSum(n, flux_pairs, constant_offset=offset)
             ham = ham + electric_scale * flux.product(flux)
     return ham
+
+
+def local_z(j, delta, n_sites):
+    """Single-qubit rotation generator (delta/2) Z_j: one Z layer angle's
+    generator, for dense products of the ansatz."""
+    from latfield.pauli import PauliSum, letters_at
+
+    return PauliSum(n_sites, [(delta / 2.0, letters_at(n_sites, {j: "Z"}))])

@@ -513,7 +513,9 @@ steps = 10
 
     @pytest.mark.parametrize("method", ["dense", "vqe"])
     @pytest.mark.parametrize(
-        "low, high, step", [(0.5, 0.5, 0.5), (0.0, 0.2, 1.0)], ids=["equal-bounds", "wide-step"]
+        "low, high, step",
+        [(0.5, 0.5, 0.5), (0.0, 0.2, 1.0), (0.0, 0.2, 0.3)],
+        ids=["equal-bounds", "wide-step", "step-past-max"],
     )
     def test_single_mass_scan_refused_before_solving(
         self, tmp_path, capsys, monkeypatch, method, low, high, step
@@ -531,6 +533,25 @@ steps = 10
         assert code == 2
         err = capsys.readouterr().err
         assert all(key in err for key in ("mass_min", "mass_max", "mass_step"))
+
+    @pytest.mark.parametrize(
+        "low, high, step, masses",
+        [
+            (0.0, 0.25, 0.1, [0.0, 0.1, 0.2]),
+            # The range over the step reads 1.9999999999999996 here.
+            (-0.7182, -0.5182, 0.1, [-0.7182, -0.6182, -0.5182]),
+        ],
+        ids=["stops-below-max", "step-divides-range"],
+    )
+    def test_scan_masses_stay_within_the_range(self, tmp_path, low, high, step, masses):
+        ini = (
+            "[model]\nn_sites = 4\ncoupling = 2.0\nspacing = 0.5\n\n[algorithm]\n"
+            f"mass_min = {low}\nmass_max = {high}\nmass_step = {step}\nmethod = dense\n"
+        )
+        code, out = run_cli("phase-scan", ini, tmp_path, "scan")
+        assert code == 0
+        _, rows = read_rows(out / "scan.csv")
+        assert [float(row[0]) for row in rows] == masses
 
     def test_unreadable_config(self, tmp_path):
         code = main(

@@ -18,9 +18,11 @@ from latfield.evolution import (
     trotter_states,
 )
 from latfield.models import (
+    ResourceParams,
     SchwingerParams,
     ThirringParams,
     bare_vacuum,
+    build_resource_xy,
     build_schwinger,
     build_thirring,
     staggered_charge_op,
@@ -186,6 +188,16 @@ class TestExactEvolve:
         for sector in (None, neutral):
             with pytest.raises(ResourceLimitError, match="4 qubits"):
                 SpectralDecomposition.for_hamiltonian(h, sector)
+
+    def test_xy_generator_splits_into_four_real_blocks(self):
+        # The 12-site phase scan's generator: complement and reversal split
+        # its charge-0 block, and each real block stays real.
+        h = build_resource_xy(ResourceParams(12, 1.0, 1.5, 0.3, 1.0))
+        decomp = SpectralDecomposition(h, Sector.of_charge(12, 0))
+        sizes = [stop - start for start, stop, _ in decomp._blocks]
+        assert len(sizes) == 4 and sum(sizes) == decomp.eigenvalues.size == 924
+        assert not any(np.iscomplexobj(v) for *_, v in decomp._blocks)
+        assert np.all(np.diff(decomp.eigenvalues) >= 0)
 
     def test_real_block_decomposition_keeps_one_complex_matrix(self):
         # 11-site Thirring chain in the full space: a real 2048 x 2048 block.

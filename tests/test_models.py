@@ -13,7 +13,6 @@ from latfield.models import (
     build_schwinger,
     build_thirring,
     build_thirring_fermionic,
-    local_z,
     particle_density,
     reconstruct_efield,
     staggered_charge_op,
@@ -30,7 +29,7 @@ from latfield.pauli import (
     to_dense,
 )
 
-from oracles import product_schwinger
+from oracles import local_z, product_schwinger
 
 
 def commutator_norm(a, b):
@@ -370,6 +369,7 @@ class TestResourceXY:
             ResourceParams(4, 1.0, 3.5, 0.0, 1.0)
 
     def test_local_z(self):
+        # The oracle generator of one Z-layer angle, (delta/2) Z_j.
         g = local_z(1, 0.6, 3)
         assert g.coefficient_of("IZI") == pytest.approx(0.3)
         assert len(g) == 1

@@ -139,6 +139,49 @@ def test_sector_decomposition_matches_dense_exponential(data, h, t):
         assert not decomp.eigenvectors.imag.any()
 
 
+def mirrored(h, complement, reversal):
+    """``h`` plus its images under bit complement (X on every qubit, which
+    negates Y and Z) and/or bit reversal, so the sum commutes with each."""
+    pairs = [(c, letters) for letters, c in h.items()]
+    if complement:
+        pairs += [(c * (-1) ** (s.count("Y") + s.count("Z")), s) for c, s in pairs]
+    if reversal:
+        pairs += [(c, s[::-1]) for c, s in pairs]
+    return PauliSum(h.n_qubits, pairs, constant_offset=h.constant_offset)
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    h=charge_conserving_sums(currents=True),
+    t=st.floats(-1.5, 1.5),
+    symmetry=st.sampled_from(["complement", "reversal", "both"]),
+)
+def test_symmetric_sector_splits_and_matches_dense(data, h, t, symmetry):
+    n = h.n_qubits
+    h = mirrored(h, symmetry != "reversal", symmetry != "complement")
+    if symmetry == "reversal":
+        sector = Sector.of_charge(n, basis_charge(data.draw(st.integers(0, 2**n - 1)), n))
+    else:
+        sector = Sector.of_charge(n, 0)
+    idx = sector.indices
+    block = dense_sum(h)[np.ix_(idx, idx)]
+    amps = data.draw(states(n))[idx]
+    decomp = SpectralDecomposition(h, sector)
+    # Complement maps the charge-0 sector into itself only for even n.
+    if symmetry != "complement" or n % 2 == 0:
+        assert decomp._blocks is not None
+        assert all(np.iscomplexobj(v) == block.imag.any() for *_, v in decomp._blocks)
+    np.testing.assert_allclose(decomp.eigenvalues, np.linalg.eigvalsh(block), rtol=0, atol=1e-12)
+    expected = scipy.linalg.expm(-1j * t * block) @ amps
+    np.testing.assert_allclose(decomp.evolve_amplitudes(t, amps), expected, rtol=0, atol=1e-12)
+    v = decomp.eigenvectors
+    np.testing.assert_allclose(v.conj().T @ v, np.eye(idx.size), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        v.conj().T @ block @ v, np.diag(decomp.eigenvalues), rtol=0, atol=1e-12
+    )
+
+
 @PROPERTY_SETTINGS
 @given(data=st.data(), n=st.integers(1, 10))
 def test_terms_commute_matches_letterwise_oracle(data, n):

@@ -4,7 +4,7 @@ import scipy.linalg
 
 import latfield.pauli
 from latfield import structure
-from latfield.evolution import exact_evolve, make_plan, trotter_evolve
+from latfield.evolution import SpectralDecomposition, exact_evolve, make_plan, trotter_evolve
 from latfield.models import (
     ResourceParams,
     SchwingerParams,
@@ -88,6 +88,22 @@ class TestSectorPreparation:
         for row, k in zip(z, sector.indices):
             np.testing.assert_array_equal(row, [1 - 2 * (k >> j & 1) for j in range(6)])
 
+    def test_symmetries_built_once(self):
+        neutral = Sector.of_charge(6, 0)
+        assert neutral.symmetries is neutral.symmetries
+        complement, reversal = neutral.symmetries
+        for positions, image in [
+            (complement, lambda k: k ^ 63),
+            (reversal, lambda k: int(f"{k:06b}"[::-1], 2)),
+        ]:
+            np.testing.assert_array_equal(
+                neutral.indices[positions], [image(k) for k in neutral.indices]
+            )
+        # Complement takes charge 1 to charge -1; reversal keeps the charge.
+        (kept,) = Sector.of_charge(6, 1).symmetries
+        charged = Sector.of_charge(6, 1).indices
+        np.testing.assert_array_equal(charged[kept], [int(f"{k:06b}"[::-1], 2) for k in charged])
+
     def test_sector_matrix_rejects_leaking_operator(self):
         with pytest.raises(InvariantViolation, match="0b1"):
             sector_matrix(PauliSum(4, [(1.0, "XIII")]), sector_indices(4, 0))
@@ -162,6 +178,21 @@ class TestSectorPreparation:
             assert expectation(staggered_charge_op(6), state) == pytest.approx(
                 charge, abs=1e-10
             )
+
+    def test_split_sector_ranks_match_dense_energies(self):
+        # At mass 0 the Thirring block commutes with complement and
+        # reversal, so it is decomposed in symmetry blocks; the ranks still
+        # follow the ascending dense spectrum.
+        h = build_thirring(ThirringParams(6, 0.0, 0.8))
+        idx = sector_indices(6, 0)
+        block = dense_sum(h)[np.ix_(idx, idx)]
+        w = np.linalg.eigvalsh(block)
+        assert len(SpectralDecomposition.for_hamiltonian(h, Sector(6, idx))._blocks) == 4
+        for rank in range(4):
+            state = prepare_sector_state(h, SectorSpec(0, energy_rank=rank))
+            amps = state.amplitudes[idx]
+            assert abs(np.vdot(amps, block @ amps).real - w[rank]) <= 1e-12
+            assert np.linalg.norm(block @ amps - w[rank] * amps) <= 1e-12
 
     @pytest.mark.parametrize(
         "h, complex_block",

@@ -16,7 +16,6 @@ from latfield.models import (
     build_deuteron,
     build_resource_xy,
     build_schwinger,
-    local_z,
     total_z,
 )
 from latfield.pauli import PauliSum, StateVector, expectation, to_dense
@@ -32,7 +31,13 @@ from latfield.vqe import (
     ucc_deuteron_ansatz,
 )
 
-from oracles import dense_exponential_product, dense_sum, fock_annihilation, fock_creation
+from oracles import (
+    dense_exponential_product,
+    dense_sum,
+    fock_annihilation,
+    fock_creation,
+    local_z,
+)
 
 
 RESOURCE4 = ResourceParams(n_sites=4, j0=1.0, alpha=1.5, b_field=0.3, delta=1.0)
