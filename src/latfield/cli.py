@@ -270,9 +270,7 @@ def _run_thirring_correlator(config: RunConfig) -> dict:
         positions = tuple(range(n))
     times = tuple(np.linspace(0.0, algo["t_max"], algo["t_steps"]))
     req = CorrelatorRequest(op_a=op, op_b=op, times=times, positions=positions)
-    table = two_point(
-        h, psi, req, trotter_steps_per_unit=algo["trotter_steps_per_unit"]
-    )
+    table = two_point(h, psi, req)
     corr_path = config.out / "correlator.csv"
     rows = [
         (y, t, table[i, j].real, table[i, j].imag)
@@ -336,7 +334,6 @@ def _run_hadronic_tensor(config: RunConfig) -> dict:
         positions,
         times,
         current_b=current(algo["nu"]),
-        trotter_steps_per_unit=algo["trotter_steps_per_unit"],
     )
     path = config.out / "tensor.csv"
     rows = [

@@ -112,7 +112,6 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
             "p_plus": Field(float, required=True),
             "pdf_time": Field(float, default=0.0),
             "operator": Field(str, default="hopping", choices=("hopping", "charge")),
-            "trotter_steps_per_unit": Field(int, default=128),
         },
     },
     "hadronic-tensor": {
@@ -128,7 +127,6 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
             "momentum": Field(float, required=True),
             "mu": Field(int, default=0),
             "nu": Field(int, default=0),
-            "trotter_steps_per_unit": Field(int, default=128),
         },
     },
     "thermal": {

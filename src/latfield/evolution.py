@@ -5,11 +5,11 @@ into mutually commuting sets, and one sweep applies the exact exponential
 of each group, ``exp(-i dt H_g)``, in group order.  Within a group every
 factor commutes, so a group's exponential is built from its flip-mask
 parts (one phase vector for the diagonal part, one rotation per flip
-mask) and only the group order shapes the Trotter error.  A dense
-eigendecomposition propagator serves as the exact reference; the error
-diagnostic is the l2 distance between the two paths; its sector block is
-split by the bit complement and reversal symmetries it has, each part in
-real arithmetic when real.  Sweeps run in the initial state's sector,
+mask) and only the group order shapes the Trotter error.  ``propagate`` is
+the exact reference, a dense eigendecomposition (its sector block split by
+the bit complement and reversal symmetries it has, real parts kept real)
+under the dense cap and Lanczos over it; the error diagnostic is the l2
+distance between the two paths.  Sweeps run in the initial state's sector,
 which each commuting group must map into itself, and yield states there.
 
 Plans are immutable and shareable; one evolution mutates one state under a
@@ -31,6 +31,7 @@ from .pauli import (
     InvariantViolation,
     PauliSum,
     PauliTerm,
+    ResourceLimitError,
     Sector,
     StateVector,
     check_dense,
@@ -164,6 +165,12 @@ class SpectralDecomposition:
             return self._vectors
         return np.stack([self.expand(e) for e in np.eye(self.eigenvalues.size, dtype=complex)], 1)
 
+    def eigenvector(self, rank: int) -> np.ndarray:
+        """Column ``rank`` of ``eigenvectors``; split, one unit vector expanded."""
+        if self._blocks is None:
+            return self._vectors[:, rank]
+        return self.expand(np.eye(1, self.eigenvalues.size, rank, dtype=complex)[0])
+
     @classmethod
     def for_hamiltonian(
         cls, h: PauliSum, sector: Sector | None = None
@@ -246,10 +253,49 @@ def _symmetry_basis(block: np.ndarray, candidates: tuple[np.ndarray, ...]):
     return (index, weight), (back // size, weight.ravel()[back]), edges
 
 
+def propagate(h: PauliSum, t: float, amps: np.ndarray, sector: Sector) -> np.ndarray:
+    """``exp(-i h t)`` on ``sector``'s amplitudes, exact to rounding: the cached
+    eigenbasis where ``SpectralDecomposition.for_hamiltonian`` admits the sector,
+    else short-iterative Lanczos on ``sector.apply`` (Park & Light, J. Chem.
+    Phys. 85, 5870 (1986)), fully reorthogonalised.  A Lanczos step stops once
+    ``beta_m |c_m| < 1e-13 |amps|``, ``c`` its coefficients; at 40 vectors its
+    time is halved.  Raises InvariantViolation for a non-Hermitian ``h``."""
+    if not h.hermitian:
+        raise InvariantViolation("propagation requires a Hermitian PauliSum")
+    try:
+        return SpectralDecomposition.for_hamiltonian(h, sector).evolve_amplitudes(t, amps)
+    except ResourceLimitError:
+        pass
+    out = np.array(amps, dtype=complex)
+    basis = np.empty((min(40, sector.dim), sector.dim), dtype=complex)
+    remaining = step = t if out.any() else 0.0
+    while remaining:
+        step, norm = remaining if abs(step) >= abs(remaining) else step, np.linalg.norm(out)
+        basis[0], alpha, beta = out / norm, [], []
+        for m in range(1, len(basis) + 1):
+            w = sector.apply(h, basis[m - 1])
+            alpha.append(np.vdot(basis[m - 1], w).real)
+            for _ in range(2):
+                w -= (basis[:m].conj() @ w) @ basis[:m]
+            beta.append(np.linalg.norm(w) if m < sector.dim else 0.0)
+            # eigh reads the lower triangle: the tridiagonal's subdiagonal.
+            values, vectors = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], -1))
+            c = norm * vectors @ (np.exp(-1j * step * values) * vectors[0])
+            while m == len(basis) and beta[-1] * abs(c[-1]) >= 1e-13 * norm:
+                step /= 2
+                c = norm * vectors @ (np.exp(-1j * step * values) * vectors[0])
+            if beta[-1] * abs(c[-1]) < 1e-13 * norm:
+                break
+            basis[m] = w / beta[-1]
+        out = c @ basis[:m]
+        remaining -= step
+    return out
+
+
 def exact_evolve(h: PauliSum, t: float, s0: StateVector) -> StateVector:
-    """exp(-i H t)|s0> through the dense eigendecomposition on ``s0``'s
-    sector, which ``h`` must map into itself."""
-    return SpectralDecomposition.for_hamiltonian(h, s0.sector).evolve(t, s0)
+    """exp(-i H t)|s0> on ``s0``'s sector, which ``h`` must map into itself,
+    through ``propagate``: dense under the cap, Lanczos over it."""
+    return StateVector(propagate(h, t, s0.sector_amplitudes, s0.sector), s0.sector)
 
 
 def trotter_error(plan: EvolutionPlan, s0: StateVector) -> float:

@@ -27,16 +27,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import SpectralDecomposition, exact_evolve, make_plan, trotter_evolve
+from .evolution import SpectralDecomposition, exact_evolve, propagate
 from .models import parity
-from .pauli import (
-    DimensionError,
-    PauliSum,
-    ResourceLimitError,
-    Sector,
-    StateVector,
-    letters_at,
-)
+from .pauli import DimensionError, PauliSum, Sector, StateVector, letters_at
 
 
 class EmptySectorError(ValueError):
@@ -135,7 +128,7 @@ def prepare_sector_state(h: PauliSum, sector: SectorSpec) -> StateVector:
             f"energy rank {sector.energy_rank} exceeds sector dimension {basis.dim}"
         )
     decomp = SpectralDecomposition.for_hamiltonian(h, basis)
-    return StateVector(decomp.eigenvectors[:, sector.energy_rank], basis)
+    return StateVector(decomp.eigenvector(sector.energy_rank), basis)
 
 
 def adiabatic_sector_state(
@@ -243,33 +236,14 @@ def thirring_bond_current(n_sites: int, site: int) -> PauliSum:
 class _Propagator:
     """Propagation shared by the correlators, on amplitudes of one sector:
     ``psi``'s own sector when ``h`` and every operator map it into itself,
-    the full space otherwise.  Exact through ``SpectralDecomposition``;
-    where that raises ResourceLimitError (above the dense cap),
-    Trotterized in the same sector with a stated per-unit-time step count."""
+    the full space otherwise.  Every interval is exact through
+    ``evolution.propagate``, under the dense cap and over it."""
 
-    def __init__(self, h: PauliSum, psi: StateVector, ops, trotter_steps_per_unit: int):
+    def __init__(self, h: PauliSum, psi: StateVector, ops):
         psi.check_normalized()
-        self.h = h
-        self.steps_per_unit = trotter_steps_per_unit
-        sector = psi.sector  # closed_under raises if a qubit count differs
-        if not all(sector.closed_under(op) for op in (h, *ops)):
-            sector = Sector(h.n_qubits)
-        self.sector = sector
-        self.psi = psi.on(sector).sector_amplitudes
-        try:
-            self._decomp = SpectralDecomposition.for_hamiltonian(h, sector)
-        except ResourceLimitError:
-            self._decomp = None
-
-    def advance(self, amps: np.ndarray, t_from: float, t_to: float) -> np.ndarray:
-        if self._decomp is not None:
-            return self._decomp.evolve_amplitudes(t_to - t_from, amps)
-        dt = t_to - t_from
-        if dt == 0.0:
-            return amps
-        steps = max(1, int(np.ceil(abs(dt) * self.steps_per_unit)))
-        state = StateVector(amps, self.sector)
-        return trotter_evolve(make_plan(self.h, dt, steps), state).sector_amplitudes
+        kept = all(psi.sector.closed_under(op) for op in (h, *ops))  # raises if qubit counts differ
+        self.h, self.sector = h, psi.sector if kept else Sector(h.n_qubits)
+        self.psi = psi.on(self.sector).sector_amplitudes
 
     def table(self, bra: np.ndarray, ket: np.ndarray, times, ops) -> np.ndarray:
         """<bra(t)| op |ket(t)>: one row per operator, one column per time,
@@ -277,8 +251,8 @@ class _Propagator:
         out = np.empty((len(ops), len(times)), dtype=complex)
         t_prev = 0.0
         for col, t in enumerate(times):
-            bra = self.advance(bra, t_prev, t)
-            ket = self.advance(ket, t_prev, t)
+            bra = propagate(self.h, t - t_prev, bra, self.sector)
+            ket = propagate(self.h, t - t_prev, ket, self.sector)
             t_prev = t
             for row, op in enumerate(ops):
                 out[row, col] = np.vdot(bra, self.sector.apply(op, ket))
@@ -289,7 +263,6 @@ def two_point(
     h: PauliSum,
     psi: StateVector,
     req: CorrelatorRequest,
-    trotter_steps_per_unit: int = 128,
 ) -> np.ndarray:
     """C(y, t) = <psi| e^{iHt} A_y e^{-iHt} B_0 |psi> over the request grids.
 
@@ -297,7 +270,7 @@ def two_point(
     columns times.
     """
     translated = [translate(req.op_a, y) for y in req.positions]
-    prop = _Propagator(h, psi, [req.op_b, *translated], trotter_steps_per_unit)
+    prop = _Propagator(h, psi, [req.op_b, *translated])
     return prop.table(prop.psi, prop.sector.apply(req.op_b, prop.psi), req.times, translated)
 
 
@@ -308,14 +281,13 @@ def time_ordered_current_correlator(
     current_b: Callable[[int], PauliSum],
     positions: Sequence[int],
     times: Sequence[float],
-    trotter_steps_per_unit: int = 128,
 ) -> np.ndarray:
     """<psi| T{ J_a(y, t) J_b(0, 0) } |psi> with the convention
     T{A(t)B(0)} = A(t)B(0) for t >= 0 and B(0)A(t) for t < 0."""
     ops = [current_a(int(y)) for y in positions]
     ref = current_b(0)
     ref_adjoint = ref.adjoint()
-    prop = _Propagator(h, psi, [ref, ref_adjoint, *ops], trotter_steps_per_unit)
+    prop = _Propagator(h, psi, [ref, ref_adjoint, *ops])
     times = np.asarray(times, dtype=float)
     order = np.argsort(times)
     later, earlier = order[times[order] >= 0], order[times[order] < 0]
@@ -376,7 +348,6 @@ def hadronic_tensor(
     positions: Sequence[int],
     times: Sequence[float],
     current_b: Callable[[int], PauliSum] | None = None,
-    trotter_steps_per_unit: int = 128,
     metadata: dict | None = None,
 ) -> SpectralTable:
     """Real part of the spacetime Fourier transform of the time-ordered
@@ -392,9 +363,7 @@ def hadronic_tensor(
     _check_uniform(ts, "times")
     if current_b is None:
         current_b = current_a
-    table = time_ordered_current_correlator(
-        h, psi, current_a, current_b, positions, times, trotter_steps_per_unit
-    )
+    table = time_ordered_current_correlator(h, psi, current_a, current_b, positions, times)
     dy = float(pos[1] - pos[0]) if pos.size > 1 else 1.0
     dt = float(ts[1] - ts[0]) if ts.size > 1 else 1.0
     out = np.empty(len(q_grid), dtype=complex)

@@ -187,3 +187,28 @@ def local_z(j, delta, n_sites):
     from latfield.pauli import PauliSum, letters_at
 
     return PauliSum(n_sites, [(delta / 2.0, letters_at(n_sites, {j: "Z"}))])
+
+
+def free_fermion_density(n_sites, mass, occupied, times):
+    """``<n_y(t)>`` (rows y, columns t) on the coupling-0 Thirring chain from
+    the basis state whose set bits are ``occupied``, by free fermions.
+
+    The open chain's nearest-neighbour XX + YY bonds carry no Jordan-Wigner
+    string (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)), so a set bit
+    is a fermion under the n x n single-particle matrix ``h_sp``:
+    ``(s/4)(XX + YY)`` hops with ``s/2``, and ``(m/2)(-1)^(j+1) Z_j`` on
+    1-based site j is ``-m (-1)^(j+1) n_j`` up to a constant.  With
+    ``U = expm(-i h_sp t)``, ``<n_y(t)> = sum_{k occupied} |U_yk|^2``.
+    """
+    h_sp = np.zeros((n_sites, n_sites))
+    for j in range(n_sites):  # 0-based; the model's signs use 1-based j + 1
+        sign = 1.0 if j % 2 else -1.0  # (-1)^(j+1)
+        h_sp[j, j] = -mass * sign
+        if j + 1 < n_sites:
+            h_sp[j, j + 1] = h_sp[j + 1, j] = -sign / 2.0
+    occupied = list(occupied)
+    density = np.empty((n_sites, len(times)))
+    for col, t in enumerate(times):
+        u = scipy.linalg.expm(-1j * t * h_sp)
+        density[:, col] = (np.abs(u[:, occupied]) ** 2).sum(axis=1)
+    return density

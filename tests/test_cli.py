@@ -478,6 +478,14 @@ steps = 10
             run_cli("schwinger-quench", QUENCH_INI, tmp_path, "flag", extra=["--threads", "2"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("subcommand", ["thirring-correlator", "hadronic-tensor"])
+    def test_trotter_steps_key_rejected(self, tmp_path, capsys, subcommand):
+        # The correlators propagate exactly at every size: no step count.
+        ini = CAPPED_16_SITES[subcommand].replace("n_sites = 16", "n_sites = 6")
+        code, _ = run_cli(subcommand, ini + "trotter_steps_per_unit = 128\n", tmp_path, "key")
+        assert code == 2
+        assert "trotter_steps_per_unit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subcommand", sorted(CAPPED_16_SITES))
     def test_resource_cap_exit_code(self, tmp_path, capsys, subcommand):
         code, _ = run_cli(subcommand, CAPPED_16_SITES[subcommand], tmp_path, "cap")

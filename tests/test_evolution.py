@@ -259,6 +259,17 @@ class TestTrotterError:
         slope = np.polyfit(np.log(step_counts), np.log(errors), 1)[0]
         assert -2.2 <= slope <= -0.8
 
+    @pytest.mark.parametrize("sector", [None, Sector.of_charge(8, 0)], ids=["full", "charge0"])
+    def test_over_the_cap_equals_dense_value(self, monkeypatch, sector):
+        # Over the cap the exact side is Lanczos; the error is unchanged.
+        h = build_schwinger(SchwingerParams(8, 0.5, 1.0))
+        vac = bare_vacuum(8) if sector is None else bare_vacuum(8).on(sector)
+        plan = make_plan(h, 1.0, 16)
+        dense = trotter_error(plan, vac)
+        monkeypatch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 0)
+        assert abs(trotter_error(plan, vac) - dense) <= 1e-12
+        assert dense > 1e-3
+
     def test_grouping_order_is_deterministic(self):
         h = build_schwinger(SchwingerParams(6, 0.5, 1.0))
         g1 = greedy_commuting_groups(h.terms)

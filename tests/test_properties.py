@@ -1,7 +1,7 @@
 """Property tests: the flip-mask kernels, the sector forms, sector states,
-the commutation test, the sector eigenbasis and the thermal ensemble
-contraction against the oracles on random Pauli sums of up to six qubits
-(eight for the sector sweeps)."""
+the commutation test, the sector eigenbasis, the Lanczos propagator and the
+thermal ensemble contraction against the oracles on random Pauli sums of up
+to six qubits (eight for the sector sweeps and the propagator)."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import latfield.pauli
 from latfield.evolution import (
     SpectralDecomposition,
     greedy_commuting_groups,
     make_plan,
+    propagate,
     trotter_evolve,
     trotter_states,
 )
@@ -137,6 +139,27 @@ def test_sector_decomposition_matches_dense_exponential(data, h, t):
     np.testing.assert_allclose(decomp.eigenvalues, np.linalg.eigvalsh(block), rtol=0, atol=1e-12)
     if not block.imag.any():
         assert not decomp.eigenvectors.imag.any()
+
+
+@PROPERTY_SETTINGS
+@given(
+    data=st.data(),
+    h=charge_conserving_sums(max_qubits=8, currents=True),
+    t=st.one_of(st.just(0.0), st.just(40.0), st.floats(-5.0, 5.0)),
+    zero=st.booleans(),
+)
+def test_propagate_over_the_cap_matches_dense_exponential(data, h, t, zero):
+    n = h.n_qubits
+    sector = Sector.of_charge(n, basis_charge(data.draw(st.integers(0, 2**n - 1)), n))
+    idx = sector.indices
+    amps = np.zeros(idx.size, dtype=complex) if zero else data.draw(states(n))[idx]
+    expected = scipy.linalg.expm(-1j * t * dense_sum(h)[np.ix_(idx, idx)]) @ amps
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 0)
+        out = propagate(h, t, amps, sector)
+        with pytest.raises(InvariantViolation, match="Hermitian"):
+            propagate(h * 1j, t, amps, sector)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 def mirrored(h, complement, reversal):

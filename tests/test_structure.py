@@ -4,7 +4,7 @@ import scipy.linalg
 
 import latfield.pauli
 from latfield import structure
-from latfield.evolution import SpectralDecomposition, exact_evolve, make_plan, trotter_evolve
+from latfield.evolution import SpectralDecomposition, exact_evolve, propagate
 from latfield.models import (
     ResourceParams,
     SchwingerParams,
@@ -44,7 +44,7 @@ from latfield.structure import (
     two_point,
 )
 
-from oracles import dense_sum, form_matrix, restricted_form
+from oracles import dense_sum, form_matrix, free_fermion_density, restricted_form
 
 
 MODEL6 = ThirringParams(6, 0.5, 0.8)
@@ -194,6 +194,22 @@ class TestSectorPreparation:
             assert abs(np.vdot(amps, block @ amps).real - w[rank]) <= 1e-12
             assert np.linalg.norm(block @ amps - w[rank] * amps) <= 1e-12
 
+    def test_cached_split_state_expands_one_column(self, monkeypatch):
+        # A cached split decomposition hands out one eigenvector by expanding
+        # one unit vector, not the whole identity, and it is the same column.
+        h = build_thirring(ThirringParams(8, 0.0, 0.8))
+        decomp = SpectralDecomposition.for_hamiltonian(h, Sector.of_charge(8, 0))
+        assert decomp._blocks is not None and decomp.eigenvalues.size == 70
+        expected = decomp.eigenvectors[:, 3]
+        calls = []
+        expand = SpectralDecomposition.expand
+        monkeypatch.setattr(
+            SpectralDecomposition, "expand", lambda self, c: calls.append(1) or expand(self, c)
+        )
+        state = prepare_sector_state(h, SectorSpec(0, energy_rank=3))
+        assert len(calls) == 1
+        np.testing.assert_array_equal(state.sector_amplitudes, expected)
+
     @pytest.mark.parametrize(
         "h, complex_block",
         [
@@ -325,50 +341,55 @@ class TestTwoPoint:
                     bra, ket = u @ psi.amplitudes, u @ (b @ psi.amplitudes)
                     assert abs(table[row, col] - np.vdot(bra, a @ ket)) <= 1e-12
 
-    def test_trotter_path_close_to_exact_path(self, monkeypatch):
-        h = build_thirring(MODEL6)
+    @pytest.mark.parametrize("n_sites", [6, 12])
+    def test_krylov_path_matches_dense_path(self, monkeypatch, n_sites):
+        h = build_thirring(ThirringParams(n_sites, 0.5, 0.8))
         psi = prepare_sector_state(h, SectorSpec(0))
+        op = charge_density(n_sites, 0)
         times = tuple(np.linspace(0.0, 2.0, 5))
-        req = CorrelatorRequest(
-            op_a=charge_density(6, 0),
-            op_b=charge_density(6, 0),
-            times=times,
-            positions=(0, 1, 2),
-        )
-        exact = two_point(h, psi, req)
+        req = CorrelatorRequest(op_a=op, op_b=op, times=times, positions=(0, 1, 2))
+        dense = two_point(h, psi, req)
         monkeypatch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 0)
-        trotter = two_point(h, psi, req, trotter_steps_per_unit=128)
-        np.testing.assert_allclose(trotter, exact, atol=1e-3)
+        krylov = two_point(h, psi, req)
+        np.testing.assert_allclose(krylov, dense, rtol=0, atol=1e-12)
 
-    def test_trotter_path_runs_in_the_state_sector(self, monkeypatch):
-        # Above the cap the correlator sweeps psi's 15-state charge sector:
-        # the same sweeps in the full space give the same table.
+    def test_krylov_path_runs_in_the_state_sector(self, monkeypatch):
+        # Over the cap the correlator propagates in psi's 15-state charge
+        # sector: the same propagation in the full space gives the same table.
         swept = []
 
-        def recording_evolve(plan, s0, reverse=False):
-            swept.append(s0.sector)
-            return trotter_evolve(plan, s0, reverse)
+        def recording_propagate(h, t, amps, sector):
+            swept.append(sector)
+            return propagate(h, t, amps, sector)
 
-        monkeypatch.setattr(structure, "trotter_evolve", recording_evolve)
+        monkeypatch.setattr(structure, "propagate", recording_propagate)
         h = build_thirring(MODEL6)
         psi = prepare_sector_state(h, SectorSpec(1))
         op = hopping_bilinear(6, 0)
-        times, positions, per_unit = tuple(np.linspace(0.0, 2.0, 5)), (0, 2, 4), 16
-        req = CorrelatorRequest(op_a=op, op_b=op, times=times, positions=positions)
+        req = CorrelatorRequest(
+            op_a=op, op_b=op, times=tuple(np.linspace(0.0, 2.0, 5)), positions=(0, 2, 4)
+        )
         monkeypatch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 0)
-        table = two_point(h, psi, req, trotter_steps_per_unit=per_unit)
-        assert swept and all(sector == psi.sector for sector in swept)
-        bra = psi.on(Sector(6))
-        ket = op.apply_to(bra)
-        expected = np.empty((len(positions), len(times)), dtype=complex)
-        for col, (t_prev, t) in enumerate(zip((0.0,) + times, times)):
-            if t != t_prev:
-                plan = make_plan(h, t - t_prev, int(np.ceil((t - t_prev) * per_unit)))
-                bra, ket = trotter_evolve(plan, bra), trotter_evolve(plan, ket)
-            assert bra.sector == ket.sector == Sector(6)
-            for row, y in enumerate(positions):
-                expected[row, col] = bra.inner(translate(op, y).apply_to(ket))
-        np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+        table = two_point(h, psi, req)
+        assert psi.sector.dim == 15 and swept and all(s == psi.sector for s in swept)
+        swept.clear()
+        full = two_point(h, psi.on(Sector(6)), req)
+        assert swept and all(s == Sector(6) for s in swept)
+        np.testing.assert_allclose(table, full, rtol=0, atol=1e-12)
+
+    def test_krylov_path_matches_free_fermion_oracle_at_16_sites(self):
+        # Over the real cap: the coupling-0 chain is free fermions.  With
+        # A_y = (Z_y - 1)/2 = -n_y and site 0 occupied, B_0 psi = -psi, so
+        # C(y, t) = <n_y(t)>.
+        n, mass = 16, 0.5
+        h = build_thirring(ThirringParams(n, mass, 0.0))
+        psi = StateVector.from_bits("10" * (n // 2)).on(Sector.of_charge(n, 0))
+        op = charge_density(n, 0)
+        times = tuple(np.linspace(0.0, 2.0, 5))
+        req = CorrelatorRequest(op_a=op, op_b=op, times=times, positions=tuple(range(n)))
+        table = two_point(h, psi, req)
+        oracle = free_fermion_density(n, mass, range(0, n, 2), times)
+        np.testing.assert_allclose(table, oracle, rtol=0, atol=1e-12)
 
     def test_time_offset_leaves_correlator_invariant_on_eigenstates(self):
         h = build_thirring(MODEL6)
