@@ -249,21 +249,15 @@ class _Propagator:
         """<bra(t)| op |ket(t)>: one row per operator, one column per time,
         each time evolved on from the one before (starting at 0)."""
         out = np.empty((len(ops), len(times)), dtype=complex)
-        t_prev = 0.0
-        for col, t in enumerate(times):
+        for col, (t_prev, t) in enumerate(zip([0.0, *times], times)):
             bra = propagate(self.h, t - t_prev, bra, self.sector)
             ket = propagate(self.h, t - t_prev, ket, self.sector)
-            t_prev = t
             for row, op in enumerate(ops):
                 out[row, col] = np.vdot(bra, self.sector.apply(op, ket))
         return out
 
 
-def two_point(
-    h: PauliSum,
-    psi: StateVector,
-    req: CorrelatorRequest,
-) -> np.ndarray:
+def two_point(h: PauliSum, psi: StateVector, req: CorrelatorRequest) -> np.ndarray:
     """C(y, t) = <psi| e^{iHt} A_y e^{-iHt} B_0 |psi> over the request grids.
 
     ``A_y`` is ``op_a`` translated by ``y`` sites.  Rows are positions,

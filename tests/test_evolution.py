@@ -166,6 +166,24 @@ class TestExactEvolve:
         two = exact_evolve(h, 1.4, s0)
         np.testing.assert_allclose(one.amplitudes, two.amplitudes, atol=1e-11)
 
+    @pytest.mark.parametrize(
+        "n, turns", [(n, k) for n in (4, 6, 8) for k in (0.5, 1.0)] + [(4, 0.1), (4, 1.2)]
+    )
+    def test_over_the_cap_matches_product_rotation(self, monkeypatch, n, turns):
+        # exp(-i t sum X_j)|0...0> is (cos t |0> - i sin t |1>)^n.  The sum
+        # couples |0...0> to one Lanczos vector with beta = sqrt(n), so at
+        # t = 2 pi turns / sqrt(n), turns a half-integer, the 2-vector
+        # solution's last coefficient is zero while the state has moved on.
+        # The vectors stay in the n + 1 symmetric states: at n = 4 beta_5 is
+        # exactly 0 before the 16-state space is spanned.
+        t = 2 * np.pi * turns / np.sqrt(n)
+        h = PauliSum(n, [(1.0, "I" * j + "X" + "I" * (n - j - 1)) for j in range(n)])
+        flips = np.bitwise_count(np.arange(2**n))
+        expected = np.cos(t) ** (n - flips) * (-1j * np.sin(t)) ** flips
+        monkeypatch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 0)
+        out = exact_evolve(h, t, StateVector.from_bits("0" * n))
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
+
     def test_decomposition_cache_reuse(self):
         h = build_schwinger(SchwingerParams(4, 0.7, 1.0))
         first = SpectralDecomposition.for_hamiltonian(h)

@@ -377,15 +377,21 @@ class TestTwoPoint:
         assert swept and all(s == Sector(6) for s in swept)
         np.testing.assert_allclose(table, full, rtol=0, atol=1e-12)
 
-    def test_krylov_path_matches_free_fermion_oracle_at_16_sites(self):
+    @pytest.mark.parametrize(
+        "mass, times",
+        [(0.5, tuple(np.linspace(0.0, 2.0, 5))), (0.0, (0.0, 2 * np.pi / np.sqrt(15)))],
+        ids=["mass0.5", "vanishing-coefficient"],
+    )
+    def test_krylov_path_matches_free_fermion_oracle_at_16_sites(self, mass, times):
         # Over the real cap: the coupling-0 chain is free fermions.  With
         # A_y = (Z_y - 1)/2 = -n_y and site 0 occupied, B_0 psi = -psi, so
-        # C(y, t) = <n_y(t)>.
-        n, mass = 16, 0.5
+        # C(y, t) = <n_y(t)>.  At mass 0 every bond of the Neel state hops
+        # with 1/2, so the 2-vector Lanczos solution's last coefficient goes
+        # as sin(sqrt(15) t / 2): zero at t = 2 pi / sqrt(15).
+        n = 16
         h = build_thirring(ThirringParams(n, mass, 0.0))
         psi = StateVector.from_bits("10" * (n // 2)).on(Sector.of_charge(n, 0))
         op = charge_density(n, 0)
-        times = tuple(np.linspace(0.0, 2.0, 5))
         req = CorrelatorRequest(op_a=op, op_b=op, times=times, positions=tuple(range(n)))
         table = two_point(h, psi, req)
         oracle = free_fermion_density(n, mass, range(0, n, 2), times)
