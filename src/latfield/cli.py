@@ -158,7 +158,7 @@ def _run_schwinger_quench(config: RunConfig) -> dict:
 
 
 def _write_vqe_trace(path: Path, config: RunConfig, result) -> None:
-    n_params = len(result.best_params.values)
+    n_params = len(result.best_params)
     columns = ["evaluation", "energy", "variance"] + [f"param_{k}" for k in range(n_params)]
     rows = [
         (idx, energy, variance) + tuple(values)

@@ -236,8 +236,7 @@ def parse_config_text(text: str, subcommand: str) -> dict[str, dict[str, Any]]:
             if key not in values:
                 if field.required:
                     raise ConfigError(f"missing required key '{key}' in section [{name}]")
-                if field.default is not None or not field.required:
-                    values[key] = field.default
+                values[key] = field.default
     return sections
 
 

@@ -77,9 +77,7 @@ def make_plan(h: PauliSum, total_time: float, steps: int) -> EvolutionPlan:
     return EvolutionPlan(h, float(total_time), int(steps))
 
 
-def trotter_states(
-    plan: EvolutionPlan, s0: StateVector, reverse: bool = False
-) -> Iterator[StateVector]:
+def trotter_states(plan: EvolutionPlan, s0: StateVector) -> Iterator[StateVector]:
     """Yield the state after each sweep (``plan.steps`` items), swept on the
     amplitudes of ``s0``'s sector and in it.  Raises InvariantViolation,
     at the first sweep, if a group maps the sector out of itself."""
@@ -89,7 +87,7 @@ def trotter_states(
     dt = plan.total_time / plan.steps
     amps = s0.sector_amplitudes
     factors = []
-    for group in plan.grouping[::-1] if reverse else plan.grouping:
+    for group in plan.grouping:
         part = PauliSum(n, [(terms[i].coefficient, terms[i].letters) for i in group])
         factors.append(CommutingExponential(part, dt, sector))
     # The identity component commutes with everything; its phase is exact.
@@ -102,14 +100,12 @@ def trotter_states(
         yield StateVector(amps, sector)
 
 
-def trotter_evolve(plan: EvolutionPlan, s0: StateVector, reverse: bool = False) -> StateVector:
-    """First-order Trotter evolution by ``plan.total_time``.
-
-    ``reverse=True`` applies each sweep's factors in reversed order, which
-    together with negated time undoes a forward evolution exactly.
-    """
+def trotter_evolve(plan: EvolutionPlan, s0: StateVector) -> StateVector:
+    """First-order Trotter evolution by ``plan.total_time``: the last of
+    ``trotter_states``.  Raises InvariantViolation if the norm drifts by
+    more than 1e-10."""
     out = s0
-    for out in trotter_states(plan, s0, reverse):
+    for out in trotter_states(plan, s0):
         pass
     drift = abs(out.norm() - s0.norm())
     if drift > 1e-10:
@@ -160,10 +156,13 @@ class SpectralDecomposition:
 
     @property
     def eigenvectors(self) -> np.ndarray:
-        """Columns ordered as ``eigenvalues``; split, the identity expanded per use."""
+        """Columns ordered as ``eigenvalues``; split, the identity expanded per
+        use, 256 columns at a time: ``expand`` gathers ``|G|`` copies of its block."""
         if self._blocks is None:
             return self._vectors
-        return np.stack([self.expand(e) for e in np.eye(self.eigenvalues.size, dtype=complex)], 1)
+        dim = self.eigenvalues.size
+        columns = (np.eye(dim, min(256, dim - k), -k, dtype=complex) for k in range(0, dim, 256))
+        return np.hstack([self.expand(block) for block in columns])
 
     def eigenvector(self, rank: int) -> np.ndarray:
         """Column ``rank`` of ``eigenvectors``; split, one unit vector expanded."""
@@ -193,16 +192,18 @@ class SpectralDecomposition:
         return self._products(adapted, adjoint=True)[self._order]
 
     def expand(self, coords: np.ndarray) -> np.ndarray:
-        """``V c``: the sector amplitudes of eigenbasis coordinates ``c``."""
+        """``V c``: the sector amplitudes of eigenbasis coordinates ``c``, a
+        vector or a ``(dim, k)`` block of columns."""
         if self._blocks is None:
             return self._vectors @ coords
         adapted = self._products(coords[self._rank].astype(complex, copy=False), adjoint=False)
-        return np.einsum("ij,ij->i", self._out_of[1], adapted[self._out_of[0]])
+        return np.einsum("ij,ij...->i...", self._out_of[1], adapted[self._out_of[0]])
 
     def _products(self, x: np.ndarray, adjoint: bool) -> np.ndarray:
-        """``V_b^H x_b`` (or ``V_b x_b``) per block; a real ``V_b`` on ``x_b`` as (d_b, 2) reals."""
+        """``V_b^H x_b`` (or ``V_b x_b``) per block, ``x`` a vector or a
+        ``(dim, k)`` block; a real ``V_b`` on ``x_b`` as (d_b, 2k) reals."""
         out = np.empty_like(x)
-        pairs, out_pairs = x.view(float).reshape(-1, 2), out.view(float).reshape(-1, 2)
+        pairs, out_pairs = x.view(float).reshape(len(x), -1), out.view(float).reshape(len(x), -1)
         for start, stop, v in self._blocks:
             if np.iscomplexobj(v):
                 out[start:stop] = (v.conj().T if adjoint else v) @ x[start:stop]

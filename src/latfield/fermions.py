@@ -12,36 +12,7 @@ Mode indices are 0-based here.  The lattice models place their 1-based site
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .pauli import DimensionError, PauliSum
-
-
-_KINDS = ("create", "annihilate", "number", "hop", "density_density")
-
-
-@dataclass(frozen=True)
-class FermionOp:
-    """A single second-quantized building block.
-
-    ``hop`` is the Hermitian pair ``c (a_i^dag a_j + a_j^dag a_i)``;
-    ``density_density`` is ``c n_i n_j``.  Single-site kinds use ``sites[0]``.
-    """
-
-    kind: str
-    sites: tuple[int, ...]
-    coefficient: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown fermion operator kind {self.kind!r}")
-        sites = tuple(self.sites)
-        object.__setattr__(self, "sites", sites)
-        if self.kind in ("hop", "density_density"):
-            if len(sites) != 2 or sites[0] == sites[1]:
-                raise ValueError(f"{self.kind} needs two distinct sites, got {sites}")
-        elif len(sites) != 1:
-            raise ValueError(f"{self.kind} takes one site, got {sites}")
 
 
 def _check_mode(j: int, n: int) -> None:
@@ -95,16 +66,3 @@ def jw_density_density(i: int, j: int, c: float, n: int) -> PauliSum:
     prod = jw_number(i, n).product(jw_number(j, n))
     return c * prod
 
-
-def to_pauli(op: FermionOp, n_modes: int) -> PauliSum:
-    """Translate one FermionOp into its Pauli representation."""
-    c = op.coefficient
-    if op.kind == "create":
-        return c * jw_creation(op.sites[0], n_modes)
-    if op.kind == "annihilate":
-        return c * jw_annihilation(op.sites[0], n_modes)
-    if op.kind == "number":
-        return c * jw_number(op.sites[0], n_modes)
-    if op.kind == "hop":
-        return jw_hopping(op.sites[0], op.sites[1], c, n_modes)
-    return jw_density_density(op.sites[0], op.sites[1], c, n_modes)

@@ -245,22 +245,17 @@ def build_thirring_fermionic(params: ThirringParams) -> PauliSum:
     mass as ``m (-1)^(j+1) n_j`` (constant removed), which reproduce the
     spin form exactly.
     """
-    from .fermions import FermionOp, to_pauli
+    from .fermions import jw_density_density, jw_hopping, jw_number
 
     n = params.n_sites
     g2 = params.coupling**2
-    ops: list[FermionOp] = []
+    parts = [jw_hopping(bond - 1, bond, -parity(bond) / 2.0, n) for bond in range(1, n)]
+    parts += [-params.mass * parity(site) * jw_number(site - 1, n) for site in range(1, n + 1)]
     for bond in range(1, n):
-        ops.append(FermionOp("hop", (bond - 1, bond), -parity(bond) / 2.0))
-    for site in range(1, n + 1):
-        ops.append(FermionOp("number", (site - 1,), -params.mass * parity(site)))
-    for bond in range(1, n):
-        ops.append(FermionOp("density_density", (bond - 1, bond), g2))
-        ops.append(FermionOp("number", (bond - 1,), -g2 / 2.0))
-        ops.append(FermionOp("number", (bond,), -g2 / 2.0))
-    ham = PauliSum(n, [], constant_offset=g2 / 4.0 * (n - 1))
-    for op in ops:
-        ham = ham + to_pauli(op, n)
+        parts.append(jw_density_density(bond - 1, bond, g2, n))
+        parts.append(-g2 / 2.0 * jw_number(bond - 1, n))
+        parts.append(-g2 / 2.0 * jw_number(bond, n))
+    ham = sum(parts, PauliSum(n, [], constant_offset=g2 / 4.0 * (n - 1)))
     # Remove the mass constant so even and odd chains alike match the spin form.
     mass_const = params.mass / 2.0 * sum(-parity(j) for j in range(1, n + 1))
     return ham + PauliSum(n, [], constant_offset=-mass_const)

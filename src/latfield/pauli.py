@@ -259,8 +259,8 @@ class StateVector:
             raise DimensionError("qubit counts differ")
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
-    def check_normalized(self, tol: float = 1e-10) -> None:
-        if abs(self.norm() - 1.0) > tol:
+    def check_normalized(self) -> None:
+        if abs(self.norm() - 1.0) > 1e-10:
             raise InvariantViolation(f"state norm {self.norm()} deviates from 1")
 
     def __repr__(self) -> str:
@@ -498,8 +498,9 @@ def _gather(form, amps: np.ndarray) -> np.ndarray:
 
 
 class Sector:
-    """The basis a computation runs on: sorted computational-basis indices,
-    or all ``2^n`` states for the full space, ``Sector(n)``.
+    """The basis a computation runs on: strictly increasing computational-basis
+    indices (else DimensionError), or all ``2^n`` states for the full space,
+    ``Sector(n)``.
 
     ``of_charge`` gives the states of one total staggered charge,
     ``n // 2 - popcount(k)`` (``models.basis_charge``), which every lattice
@@ -516,6 +517,15 @@ class Sector:
     def __init__(self, n_qubits: int, indices: np.ndarray | None = None):
         self.n_qubits = n_qubits
         self._indices = None if indices is None else np.asarray(indices, dtype=np.int64)
+        idx = self._indices
+        if idx is not None and (
+            idx.ndim != 1
+            or (np.diff(idx) <= 0).any()
+            or idx.size and not 0 <= idx[0] <= idx[-1] < 2**n_qubits
+        ):
+            raise DimensionError(
+                f"sector indices must be strictly increasing basis states of {n_qubits} qubits"
+            )
         self._key = (n_qubits, None if indices is None else self._indices.tobytes())
         self._z_values = self._symmetries = None
 

@@ -5,10 +5,9 @@ States are prepared by exact diagonalization restricted to a total-charge
 ``Sector`` (the charge of every computational basis state is classical, so
 the restriction is exact), or by an adiabatic sweep from the large-mass
 limit as an independent cross-check; both return states in that sector.
-Momentum is not projected on the open chain: a ``momentum_index`` is
-carried as a label only.  The correlators run in the state's sector when
-the Hamiltonian and every operator keep it (charge densities and currents
-do), and in the full space otherwise.
+Momentum is not projected on the open chain.  The correlators run in the
+state's sector when the Hamiltonian and every operator keep it (charge
+densities and currents do), and in the full space otherwise.
 
 The continuum bilinear of the momentum-fraction distribution has no unique
 staggered transcription; the correlator machinery is generic over caller
@@ -42,12 +41,10 @@ class BoundaryError(ValueError):
 
 @dataclass(frozen=True)
 class SectorSpec:
-    """Quantum numbers selecting an eigenstate: total staggered charge,
-    an optional (unprojected) momentum label, and the energy rank inside
-    the sector (0 = lowest)."""
+    """Quantum numbers selecting an eigenstate: total staggered charge and
+    the energy rank inside the sector (0 = lowest)."""
 
     total_charge: int
-    momentum_index: int | None = None
     energy_rank: int = 0
 
     def __post_init__(self) -> None:
@@ -299,7 +296,6 @@ def pdf_transform(
     correlator: Sequence[complex],
     positions: Sequence[float],
     p_plus: float,
-    metadata: dict | None = None,
 ) -> SpectralTable:
     """Discrete momentum-fraction transform of a separation-space slice.
 
@@ -329,8 +325,6 @@ def pdf_transform(
         "p_plus": float(p_plus),
         "delta_y": dy,
     }
-    if metadata:
-        meta.update(metadata)
     return SpectralTable(grid=xs, values=f, metadata=meta)
 
 
@@ -342,7 +336,6 @@ def hadronic_tensor(
     positions: Sequence[int],
     times: Sequence[float],
     current_b: Callable[[int], PauliSum] | None = None,
-    metadata: dict | None = None,
 ) -> SpectralTable:
     """Real part of the spacetime Fourier transform of the time-ordered
     current-current correlator, sampled at (omega, k) pairs.
@@ -365,6 +358,4 @@ def hadronic_tensor(
         phases = np.exp(1j * (omega * ts[None, :] - k * pos[:, None]))
         out[row] = dt * dy * np.sum(phases * table)
     meta = {"q_pairs": [(float(w), float(k)) for w, k in q_grid], "delta_y": dy, "delta_t": dt}
-    if metadata:
-        meta.update(metadata)
     return SpectralTable(grid=np.arange(len(q_grid), dtype=float), values=out.real.astype(complex), metadata=meta)

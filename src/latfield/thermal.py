@@ -32,12 +32,10 @@ _GIBBS_MAGIC = b"LATGIBBS"
 
 @dataclass(frozen=True)
 class ThermalState:
-    """Unnormalized Gibbs operator exp(-beta H0) with its trace recorded."""
+    """An unnormalized Gibbs operator ``rho``, such as exp(-beta H0): a
+    square Hermitian matrix on the full space."""
 
     rho: np.ndarray
-    beta: float
-    h0: PauliSum
-    trace: float
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex)
@@ -50,6 +48,11 @@ class ThermalState:
     @property
     def n_qubits(self) -> int:
         return int(self.rho.shape[0]).bit_length() - 1
+
+    @property
+    def trace(self) -> float:
+        """Tr rho, the partition function of a Gibbs operator."""
+        return float(np.trace(self.rho).real)
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ def bloch_propagate(h0: PauliSum, beta: float) -> ThermalState:
     v = decomp.eigenvectors
     rho = (v * np.exp(-beta * decomp.eigenvalues)) @ v.conj().T
     rho = (rho + rho.conj().T) / 2.0
-    return ThermalState(rho=rho, beta=float(beta), h0=h0, trace=float(np.trace(rho).real))
+    return ThermalState(rho)
 
 
 def decompose(ts: ThermalState, threshold: float) -> PureStateEnsemble:
@@ -132,7 +135,8 @@ def dump_gibbs(ts: ThermalState, path) -> None:
         fh.write(np.ascontiguousarray(ts.rho, dtype=np.complex128).tobytes())
 
 
-def load_gibbs(path, h0: PauliSum, beta: float) -> ThermalState:
+def load_gibbs(path) -> ThermalState:
+    """The ``ThermalState`` that ``dump_gibbs`` wrote to ``path``."""
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != _GIBBS_MAGIC:
@@ -140,5 +144,4 @@ def load_gibbs(path, h0: PauliSum, beta: float) -> ThermalState:
         (n_qubits,) = struct.unpack("<Q", fh.read(8))
         dim = 2**n_qubits
         rho = np.frombuffer(fh.read(), dtype=np.complex128).reshape(dim, dim)
-    trace = float(np.trace(rho).real)
-    return ThermalState(rho=rho.copy(), beta=beta, h0=h0, trace=trace)
+    return ThermalState(rho.copy())

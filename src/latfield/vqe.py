@@ -54,26 +54,6 @@ from .pauli import (
 
 
 @dataclass(frozen=True)
-class ParamPoint:
-    values: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        vals = tuple(float(v) for v in self.values)
-        if not all(np.isfinite(vals)):
-            raise ValueError("parameters must be finite")
-        object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def coerce(cls, obj) -> "ParamPoint":
-        if isinstance(obj, ParamPoint):
-            return obj
-        return cls(tuple(np.atleast_1d(np.asarray(obj, dtype=float))))
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.values)
-
-
-@dataclass(frozen=True)
 class GeneratorLayer:
     """exp(-i theta G) under one shared angle, applied in the eigenbasis of
     G on the sector, whether or not the terms of G commute."""
@@ -148,10 +128,12 @@ class Ansatz:
     def parameter_count(self) -> int:
         return sum(layer.arity for layer in self.layers)
 
-    def trajectory(self, point: "ParamPoint | Sequence[float]") -> tuple[np.ndarray, list]:
+    def trajectory(self, point: Sequence[float]) -> tuple[np.ndarray, list]:
         """``(prepared amplitudes, steps)``: the one forward pass, keeping
         ``(layer, angle, output, memo)`` for every layer in order."""
-        values = ParamPoint.coerce(point).as_array()
+        values = np.atleast_1d(np.asarray(point, dtype=float))
+        if not np.isfinite(values).all():
+            raise ValueError("parameters must be finite")
         if values.size != self.parameter_count:
             raise DimensionError(
                 f"ansatz takes {self.parameter_count} parameters, got {values.size}"
@@ -165,13 +147,13 @@ class Ansatz:
             steps.append((layer, angle, amps, memo))
         return amps, steps
 
-    def prepare(self, point: "ParamPoint | Sequence[float]") -> StateVector:
+    def prepare(self, point: Sequence[float]) -> StateVector:
         return StateVector(self.trajectory(point)[0], self.sector)
 
 
 @dataclass(frozen=True)
 class VqeResult:
-    best_params: ParamPoint
+    best_params: tuple[float, ...]
     energy: float
     variance: float
     energy_calls: int
@@ -233,7 +215,7 @@ def hva_schwinger_ansatz(params: ResourceParams, n_layers: int) -> Ansatz:
 
 
 def energy_and_gradient(
-    h: PauliSum, ansatz: Ansatz, point: "ParamPoint | Sequence[float]", gradient: bool = True
+    h: PauliSum, ansatz: Ansatz, point: Sequence[float], gradient: bool = True
 ) -> tuple[float, float, np.ndarray | None]:
     """``energy_and_variance`` plus, unless ``gradient`` is False, the exact
     gradient of the energy by adjoint differentiation: a backward pass
@@ -259,7 +241,7 @@ def energy_and_gradient(
 
 
 def energy_and_variance(
-    h: PauliSum, ansatz: Ansatz, point: "ParamPoint | Sequence[float]"
+    h: PauliSum, ansatz: Ansatz, point: Sequence[float]
 ) -> tuple[float, float]:
     """(<H>, <H^2> - <H>^2) on the prepared state, in the ansatz's sector
     (``H`` must map it into itself).
@@ -396,7 +378,7 @@ def minimize(
 def optimize(
     h: PauliSum,
     ansatz: Ansatz,
-    initial: "ParamPoint | Sequence[float]",
+    initial: Sequence[float],
     budget: int,
     seed: int = 0,
     starts: int = 1,
@@ -410,11 +392,9 @@ def optimize(
     """
     trace: list[tuple[float, float, tuple[float, ...]]] = []
     objective = _EnergyObjective(h, ansatz, trace)
-    outcome = minimize(
-        objective, ParamPoint.coerce(initial).as_array(), budget, seed=seed, starts=starts
-    )
+    outcome = minimize(objective, initial, budget, seed=seed, starts=starts)
     return VqeResult(
-        best_params=ParamPoint(tuple(outcome.point)),
+        best_params=tuple(float(v) for v in outcome.point),
         energy=outcome.value,
         variance=objective.variance,
         energy_calls=outcome.energy_calls,
@@ -445,10 +425,10 @@ def phase_scan(
     n_layers: int,
     budget: int,
     seed: int = 0,
-    dense_cross: bool | None = None,
 ) -> list[ScanRecord]:
     """VQE scan over the mass, reporting the staggered-density order
-    parameter (plus a dense cross-value when the oracle is cheap).
+    parameter, plus a dense cross-value at 10 sites or fewer, where the
+    oracle is cheap.
 
     The scan is traversed from the largest mass downward: large positive
     masses pin the ground state near the bare vacuum, where the all-zero
@@ -463,8 +443,6 @@ def phase_scan(
     if resource.n_sites != template.n_sites:
         raise DimensionError("resource and model site counts differ")
     n = template.n_sites
-    if dense_cross is None:
-        dense_cross = n <= 10
     ansatz = hva_schwinger_ansatz(resource, n_layers)
 
     def run_point(h: PauliSum, warm: np.ndarray, seed_k: int):
@@ -501,7 +479,7 @@ def phase_scan(
     for mass in masses:
         outcome, variance = found[mass]
         dense_value = None
-        if dense_cross:
+        if n <= 10:
             from .structure import SectorSpec, prepare_sector_state
 
             ground = prepare_sector_state(hamiltonians[mass], SectorSpec(total_charge=0))
@@ -519,7 +497,7 @@ def phase_scan(
     return records
 
 
-def order_parameter(ansatz: Ansatz, point: "ParamPoint | Sequence[float]") -> float:
+def order_parameter(ansatz: Ansatz, point: Sequence[float]) -> float:
     """Staggered density (1/N) sum_j (-1)^j <Z_j> of the prepared state over
     its norm, which rounding leaves ulps off 1: the bare vacuum reads -1."""
     n = ansatz.n_qubits

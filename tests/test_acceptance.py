@@ -158,7 +158,6 @@ def test_criterion_4_phase_transition():
         n_layers=6,
         budget=2000,
         seed=0,
-        dense_cross=False,
     )
     vqe_loc = steepest_change(masses, [r.order_parameter for r in records])
     elapsed = time.monotonic() - t0

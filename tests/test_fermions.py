@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from latfield.fermions import (
-    FermionOp,
     jw_annihilation,
     jw_creation,
     jw_density_density,
     jw_hopping,
     jw_number,
-    to_pauli,
 )
 from latfield.pauli import DimensionError, StateVector, expectation, to_dense
 
@@ -119,21 +117,15 @@ class TestNumber:
                 np.testing.assert_allclose(a @ b - b @ a, 0, atol=1e-14)
 
 
-class TestFermionOp:
-    def test_dispatch_matches_direct_builders(self):
-        hop = to_pauli(FermionOp("hop", (0, 2), 0.5), 3)
-        assert serialize_like(hop) == serialize_like(jw_hopping(0, 2, 0.5, 3))
-        dd = to_pauli(FermionOp("density_density", (0, 1), 2.0), 2)
-        assert serialize_like(dd) == serialize_like(jw_density_density(0, 1, 2.0, 2))
+class TestDensityDensity:
+    @pytest.mark.parametrize("i, j, n", [(0, 1, 2), (1, 2, 4), (0, 3, 4), (3, 1, 5)])
+    def test_matches_fock_number_product(self, i, j, n):
+        def number(k):
+            return fock_creation(k, n) @ fock_annihilation(k, n)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FermionOp("hop", (1, 1))
-        with pytest.raises(ValueError):
-            FermionOp("number", (0, 1))
-        with pytest.raises(ValueError):
-            FermionOp("wiggle", (0,))
+        ours = dense_sum(jw_density_density(i, j, 0.7, n))
+        np.testing.assert_allclose(ours, 0.7 * number(i) @ number(j), atol=1e-14)
 
-
-def serialize_like(h):
-    return sorted((s, complex(c)) for s, c in h.items()) + [complex(h.constant_offset)]
+    def test_equal_indices_rejected(self):
+        with pytest.raises(ValueError):
+            jw_density_density(1, 1, 1.0, 3)

@@ -17,6 +17,7 @@ from latfield.models import (
     staggered_density_op,
 )
 from latfield.pauli import (
+    DimensionError,
     InvariantViolation,
     PauliSum,
     Sector,
@@ -103,6 +104,18 @@ class TestSectorPreparation:
         (kept,) = Sector.of_charge(6, 1).symmetries
         charged = Sector.of_charge(6, 1).indices
         np.testing.assert_array_equal(charged[kept], [int(f"{k:06b}"[::-1], 2) for k in charged])
+
+    @pytest.mark.parametrize(
+        "indices", [[1, 1, 2, 4], [4, 2, 1], [1, 2, 4, 9], [-1, 1, 2], [[1, 2], [4, 7]]]
+    )
+    def test_malformed_indices_rejected(self, indices):
+        # A repeated index used to give a block 2.0 off the dense one, and
+        # unsorted or out-of-range ones an internal InvariantViolation.
+        h = PauliSum(3, [(1.0, "XXI"), (1.0, "YYI"), (0.5, "ZII"), (0.3, "IXX"), (0.3, "IYY")])
+        with pytest.raises(DimensionError, match="strictly increasing"):
+            Sector(3, np.array(indices))
+        with pytest.raises(DimensionError):
+            sector_matrix(h, indices)
 
     def test_sector_matrix_rejects_leaking_operator(self):
         with pytest.raises(InvariantViolation, match="0b1"):

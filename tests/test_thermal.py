@@ -81,7 +81,7 @@ class TestBlochPropagate:
 class TestDecompose:
     def test_diagonal_state_keeps_only_diagonal_entries(self):
         diag = np.diag([0.5, 0.25, 0.2, 0.05]).astype(complex)
-        ts = ThermalState(rho=diag, beta=1.0, h0=PauliSum(1, [(1.0, "Z")]), trace=1.0)
+        ts = ThermalState(diag)
         ensemble = decompose(ts, threshold=0.0)
         assert all(a == b for _, a, b in ensemble.entries)
         assert ensemble.trace_estimate == pytest.approx(1.0)
@@ -191,12 +191,12 @@ class TestGibbsDump:
         ts = bloch_propagate(H0, 1.1)
         path = tmp_path / "gibbs.bin"
         dump_gibbs(ts, path)
-        again = load_gibbs(path, H0, 1.1)
+        again = load_gibbs(path)
         np.testing.assert_allclose(again.rho, ts.rho, atol=0)
-        assert again.trace == pytest.approx(ts.trace)
+        assert again.trace == ts.trace
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
         with pytest.raises(ValueError):
-            load_gibbs(path, H0, 1.0)
+            load_gibbs(path)

@@ -297,6 +297,14 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(build_deuteron(2), ucc_deuteron_ansatz(2), [0.0], budget=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, bad):
+        ansatz = ucc_deuteron_ansatz(2)
+        with pytest.raises(ValueError, match="finite"):
+            ansatz.prepare([bad])
+        with pytest.raises(ValueError, match="finite"):
+            optimize(build_deuteron(2), ansatz, [bad], budget=10)
+
     def test_self_verification_bound(self):
         # variance < tol implies the energy sits within sqrt(variance) of an
         # exact eigenvalue.
