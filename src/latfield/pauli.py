@@ -22,14 +22,13 @@ Every kernel reads one compiled form of a sum, its flip-mask groups.  A
 Pauli string maps basis state ``k`` to ``k ^ x`` (``x`` the mask of its X
 and Y letters) times a phase, so ``(H psi)[k] = sum_x d_x[k] psi[k ^ x]``
 with one complex diagonal ``d_x`` per distinct mask, in first-appearance
-order.  Each ``d_x`` accumulates its terms in storage order; a nonzero
-constant offset comes first, as the seed of ``d_0``, so every matrix
-element sums exactly as a term-by-term fill would.  ``Sector.compile``
-builds this form on a sector straight from the terms, evaluated only on
-the sector's states, and keeps it while the sum lives; the full space is
-the trivial sector, compiled the same way.  Every kernel reads that form:
-one gather applies it, one scatter fills dense matrices from it, and the
-commuting-group exponentials rotate with it.
+order; a nonzero constant offset is a term of ``d_0``.  ``Sector.compile``
+builds this form on a sector from the terms: each mask's terms are summed
+on all ``2^n`` states by one product of two small sign tables, read at
+the sector's states, and the form is kept while the sum lives; the full
+space is the trivial sector, compiled the same way.  Every kernel reads
+that form: one gather applies it, one scatter fills dense matrices from
+it, and the commuting-group exponentials rotate with it.
 
 A :class:`StateVector` carries its sector (the full space is the trivial
 one), and every computation on a state runs in its sector.
@@ -452,34 +451,54 @@ class PauliSum:
 
 def _compile(h: PauliSum, indices: np.ndarray):
     """``h`` on the sorted basis ``indices``, built from its terms:
-    ``((x, d, gather) per flip mask x, first leaking mask or None)``.  A
-    mask's terms are evaluated only on the basis and on the states
-    ``indices ^ x`` outside it, where an element leaks when it exceeds
-    1e-12 of the largest element on those rows; such a row gathers from
-    itself with weight zero.  The constant offset is a diagonal term.
+    ``((x, d, gather) per flip mask x, first leaking mask or None)``.
+
+    A rank table over all ``2^n`` states (-1 off the basis) gives a mask's
+    gather, ``rank[indices ^ x]``.  Its element on row ``k`` is
+    ``sum_t w_t (-1)^popcount(v & z_t)`` at ``v = k ^ x``, read from a table
+    over all ``2^n`` states ``v``: split at bit ``low = n // 2``, that table
+    is one product ``(S_hi * w) @ S_lo.T`` of two sign tables, real when the
+    weights are.  The rows are the basis and the states ``indices ^ x`` off
+    it; an element leaks when it exceeds 1e-12 of the largest element on
+    those rows, and such a row gathers from itself with weight zero.  The
+    constant offset is a diagonal term.  Both tables are dropped on return;
+    with real weights they hold about ``12 * 2^n`` bytes.
     """
     masks: dict[int, list] = {0: [(complex(h.constant_offset), 0)]} if h.constant_offset else {}
     for letters, coeff in zip(h._strings, h._coeffs):
         xmask, zmask, ny = _masks(letters)
         masks.setdefault(xmask, []).append((complex(coeff) * 1j**ny, zmask))
-    dim = indices.size
+    n, dim = h.n_qubits, indices.size
+    low = n // 2
+    rank = np.full(2**n, -1, dtype=np.int32)
+    rank[indices] = np.arange(dim, dtype=np.int32)
+    hi_states, lo_states = np.arange(2 ** (n - low))[:, None], np.arange(2**low)[:, None]
+    # One buffer for every real table: a fresh 2^n array per mask costs
+    # more in page faults than its product.
+    real_table = np.empty((hi_states.size, lo_states.size))
     form, escapes, largest = [], [], 0.0
     for xmask, terms in masks.items():
-        gather = targets = inside = None
-        if xmask:
-            targets = indices ^ xmask
-            gather = np.minimum(np.searchsorted(indices, targets), dim - 1)
-            inside = indices[gather] == targets
-            inside = None if inside.all() else inside
-        rows = indices if inside is None else np.concatenate([indices, targets[~inside]])
-        flipped, d = rows ^ xmask, None
-        for weight, zmask in terms:
-            element = weight * (1.0 - 2.0 * (np.bitwise_count(flipped & zmask) & 1))
-            d = element if d is None else np.add(d, element, out=d)
+        weights = np.array([weight for weight, _ in terms])
+        weights = weights if weights.imag.any() else weights.real
+        zmasks = np.array([zmask for _, zmask in terms])
+        signs_hi = 1.0 - 2.0 * (np.bitwise_count(hi_states & zmasks >> low) & 1)
+        signs_lo = 1.0 - 2.0 * (np.bitwise_count(lo_states & zmasks) & 1)
+        out = None if weights.dtype == complex else real_table
+        table = np.matmul(signs_hi * weights, signs_lo.T, out=out).ravel()
+        targets = indices ^ xmask
+        d, gather = table[targets], None
         largest = max(largest, np.abs(d).max(initial=0.0))
-        if inside is not None:
-            escapes.append((xmask, np.abs(d[dim:]).max()))
-            d, gather = np.where(inside, d[:dim], 0), np.where(inside, gather, np.arange(dim))
+        if xmask:
+            gather = rank[targets]
+            inside = gather >= 0
+            if inside.all():
+                gather = gather.astype(np.int64)
+            else:
+                escaped = np.abs(table[indices]).max(where=~inside, initial=0.0)
+                largest = max(largest, escaped)
+                escapes.append((xmask, escaped))
+                d, gather = np.where(inside, d, 0), np.where(inside, gather, np.arange(dim))
+        d = d.astype(complex, copy=False)
         for array in (d, gather):
             if array is not None:
                 array.flags.writeable = False
@@ -498,9 +517,9 @@ def _gather(form, amps: np.ndarray) -> np.ndarray:
 
 
 class Sector:
-    """The basis a computation runs on: strictly increasing computational-basis
-    indices (else DimensionError), or all ``2^n`` states for the full space,
-    ``Sector(n)``.
+    """The basis a computation runs on: strictly increasing integer
+    computational-basis indices (else DimensionError), or all ``2^n`` states
+    for the full space, ``Sector(n)``.
 
     ``of_charge`` gives the states of one total staggered charge,
     ``n // 2 - popcount(k)`` (``models.basis_charge``), which every lattice
@@ -516,7 +535,11 @@ class Sector:
 
     def __init__(self, n_qubits: int, indices: np.ndarray | None = None):
         self.n_qubits = n_qubits
-        self._indices = None if indices is None else np.asarray(indices, dtype=np.int64)
+        given = None if indices is None else np.asarray(indices)
+        if given is not None and given.size and given.dtype.kind not in "iu":
+            # A cast would truncate each value to some other basis state.
+            raise DimensionError(f"sector indices must be integers, not {given.dtype}")
+        self._indices = None if given is None else given.astype(np.int64)
         idx = self._indices
         if idx is not None and (
             idx.ndim != 1
@@ -578,7 +601,11 @@ class Sector:
         Raises InvariantViolation if ``h`` maps a sector state outside the
         sector: an element counts when it exceeds 1e-12 of the largest one
         on the rows the sector touches, its states and those they map to.
-        A sector's form is built from the terms of ``h`` on those rows alone.
+        The terms are evaluated on all ``2^n`` states through a rank table
+        and one sign-table product per mask, which ``_compile`` drops on
+        return: beyond the form it keeps, a compile holds those tables,
+        about ``12 * 2^n`` bytes (12 MB at 20 qubits), and a few arrays the
+        size of the basis.
         """
         form, leak = self._form(h)
         if leak is not None:

@@ -3,8 +3,7 @@ lattice momentum-fraction transform, and the current-current tensor.
 
 States are prepared by exact diagonalization restricted to a total-charge
 ``Sector`` (the charge of every computational basis state is classical, so
-the restriction is exact), or by an adiabatic sweep from the large-mass
-limit as an independent cross-check; both return states in that sector.
+the restriction is exact) and returned in that sector.
 Momentum is not projected on the open chain.  The correlators run in the
 state's sector when the Hamiltonian and every operator keep it (charge
 densities and currents do), and in the full space otherwise.
@@ -26,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .evolution import SpectralDecomposition, exact_evolve, propagate
+from .evolution import SpectralDecomposition, propagate
 from .models import parity
 from .pauli import DimensionError, PauliSum, Sector, StateVector, letters_at
 
@@ -126,43 +125,6 @@ def prepare_sector_state(h: PauliSum, sector: SectorSpec) -> StateVector:
         )
     decomp = SpectralDecomposition.for_hamiltonian(h, basis)
     return StateVector(decomp.eigenvector(sector.energy_rank), basis)
-
-
-def adiabatic_sector_state(
-    h_path: Callable[[float], PauliSum],
-    sector: SectorSpec,
-    total_time: float = 60.0,
-    steps: int = 240,
-) -> StateVector:
-    """Cross-check preparation: follow the sector ground state along a slow
-    Hamiltonian sweep ``h_path(s)``, s from 0 to 1.
-
-    The sweep starts from the exact sector ground state of ``h_path(0)``
-    (chosen trivial, e.g. the large-mass limit) and applies piecewise
-    constant evolution at the midpoint of each interval, on the charge
-    sector's amplitudes.  Only ground states (energy_rank 0) can be tracked
-    this way; fidelity to the exact eigenstate improves with ``total_time``
-    while the sweep stays gapped.
-    """
-    if sector.energy_rank != 0:
-        raise ValueError("adiabatic tracking only follows sector ground states")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    state = prepare_sector_state(h_path(0.0), sector)
-    for k in range(steps):
-        state = exact_evolve(h_path((k + 0.5) / steps), total_time / steps, state)
-    return state
-
-
-def thirring_mass_sweep(params) -> Callable[[float], PauliSum]:
-    """Sweep from the trivial large-mass (25) Thirring chain to the target one."""
-    from .models import ThirringParams, build_thirring
-
-    def path(s: float) -> PauliSum:
-        mass = (1.0 - s) * 25.0 + s * params.mass
-        return build_thirring(ThirringParams(params.n_sites, mass, params.coupling))
-
-    return path
 
 
 # -- operators --------------------------------------------------------------

@@ -92,6 +92,38 @@ def restricted_form(h, indices):
     return tuple(form), leak
 
 
+def compile_by_terms(h, indices):
+    """``(form, first leaking mask or None)`` of ``h`` on sorted ``indices``,
+    one term at a time: each flip mask finds its targets by ``searchsorted``
+    and each term adds its signs on the basis rows and on the rows ``indices
+    ^ x`` outside it, in storage order after the constant offset."""
+    masks = {0: [(complex(h.constant_offset), 0)]} if h.constant_offset else {}
+    for letters, coeff in h.items():
+        xmask = sum(1 << j for j, c in enumerate(letters) if c in "XY")
+        zmask = sum(1 << j for j, c in enumerate(letters) if c in "ZY")
+        masks.setdefault(xmask, []).append((coeff * 1j ** letters.count("Y"), zmask))
+    dim = indices.size
+    form, escapes, largest = [], [], 0.0
+    for xmask, terms in masks.items():
+        gather = targets = inside = None
+        if xmask:
+            targets = indices ^ xmask
+            gather = np.minimum(np.searchsorted(indices, targets), dim - 1)
+            inside = indices[gather] == targets
+            inside = None if inside.all() else inside
+        rows = indices if inside is None else np.concatenate([indices, targets[~inside]])
+        flipped, d = rows ^ xmask, np.zeros(rows.size, dtype=complex)
+        for weight, zmask in terms:
+            d += weight * (1.0 - 2.0 * (np.bitwise_count(flipped & zmask) & 1))
+        largest = max(largest, np.abs(d).max(initial=0.0))
+        if inside is not None:
+            escapes.append((xmask, np.abs(d[dim:]).max()))
+            d, gather = np.where(inside, d[:dim], 0), np.where(inside, gather, np.arange(dim))
+        form.append((xmask, d, gather))
+    leaks = (xmask for xmask, escaped in escapes if escaped > 1e-12 * largest)
+    return tuple(form), next(leaks, None)
+
+
 def form_matrix(form, dim):
     """Dense matrix of a compiled form, ``mat[i, gather[i]] = d[i]`` with the
     diagonal part written last."""
@@ -179,6 +211,47 @@ def product_schwinger(params):
             flux = PauliSum(n, flux_pairs, constant_offset=offset)
             ham = ham + electric_scale * flux.product(flux)
     return ham
+
+
+def thirring_mass_sweep(params):
+    """``h(s)``, s from 0 to 1: the Thirring chain with its mass moved
+    linearly from the trivial large-mass limit, 25, to ``params.mass``."""
+    from latfield.models import ThirringParams, build_thirring
+
+    def path(s):
+        mass = (1.0 - s) * 25.0 + s * params.mass
+        return build_thirring(ThirringParams(params.n_sites, mass, params.coupling))
+
+    return path
+
+
+def adiabatic_sector_state(h_path, total_charge, total_time=60.0, steps=240):
+    """The ground state of one total-charge sector followed along the sweep
+    ``h_path(s)``: the dense sector block's ground state at s = 0, then
+    ``expm(-i dt H)`` of the block at the midpoint of each of ``steps``
+    intervals.  Each Pauli string's block is built once, by ``apply_string``
+    on the sector's basis columns.  Returns a StateVector on the sector."""
+    from latfield.pauli import Sector, StateVector
+
+    n = h_path(0.0).n_qubits
+    idx = np.flatnonzero(np.bitwise_count(np.arange(2**n)) == n // 2 - total_charge)
+    columns = np.eye(2**n)[:, idx]
+    strings = {}
+
+    def block(s):
+        h = h_path(s)
+        mat = complex(h.constant_offset) * np.eye(idx.size, dtype=complex)
+        for letters, coeff in h.items():
+            if letters not in strings:
+                image = np.stack([apply_string(letters, column) for column in columns.T], axis=1)
+                strings[letters] = image[idx]
+            mat += coeff * strings[letters]
+        return mat
+
+    amps = np.linalg.eigh(block(0.0))[1][:, 0].astype(complex)
+    for k in range(steps):
+        amps = scipy.linalg.expm(-1j * (total_time / steps) * block((k + 0.5) / steps)) @ amps
+    return StateVector(amps, Sector(n, idx))
 
 
 def local_z(j, delta, n_sites):
