@@ -14,7 +14,7 @@ import json
 import sys
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +23,13 @@ from . import __version__
 from .config import SUBCOMMANDS, ConfigError, RunConfig, load_run_config
 from .evolution import make_plan, trotter_states
 from .models import (
+    NAMED_MODELS,
     DeuteronSpec,
     ResourceParams,
     SchwingerParams,
     ThirringParams,
     bare_vacuum,
     build_deuteron,
-    build_resource_xy,
     build_schwinger,
     build_thirring,
     particle_density,
@@ -93,38 +93,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _schwinger_params(model: dict) -> SchwingerParams:
-    return SchwingerParams(
-        n_sites=model["n_sites"],
-        mass=model["mass"],
-        coupling=model["coupling"],
-        spacing=model["spacing"],
-        boundary_field=model["boundary_field"],
-    )
-
-
-def _thirring_params(model: dict) -> ThirringParams:
-    return ThirringParams(
-        n_sites=model["n_sites"], mass=model["mass"], coupling=model["coupling"]
-    )
-
-
-def _resource_params(n_sites: int, algo: dict) -> ResourceParams:
-    return ResourceParams(
-        n_sites=n_sites,
-        j0=algo["j0"],
-        alpha=algo["alpha"],
-        b_field=algo["b_field"],
-        delta=algo["delta"],
-    )
+def _params(cls, section: dict, **given):
+    """``cls`` from the ``section`` keys that name its fields, and ``given``."""
+    return cls(**{f.name: section[f.name] for f in fields(cls) if f.name not in given}, **given)
 
 
 # -- subcommand bodies -------------------------------------------------------
 
 
 def _run_schwinger_quench(config: RunConfig) -> dict:
-    model, algo = config.model(), config.algorithm()
-    params = _schwinger_params(model)
+    algo = config.algorithm()
+    params = SchwingerParams(**config.model())
     h = build_schwinger(params)
     n = params.n_sites
     charge_op = staggered_charge_op(n)
@@ -189,14 +168,15 @@ def _vqe_run(config: RunConfig, h: PauliSum, ansatz, starts: int = 1) -> dict:
 
 
 def _run_schwinger_vqe(config: RunConfig) -> dict:
-    model, algo = config.model(), config.algorithm()
-    params = _schwinger_params(model)
-    ansatz = hva_schwinger_ansatz(_resource_params(params.n_sites, algo), algo["layers"])
+    algo = config.algorithm()
+    params = SchwingerParams(**config.model())
+    resource = _params(ResourceParams, algo, n_sites=params.n_sites)
+    ansatz = hva_schwinger_ansatz(resource, algo["layers"])
     return _vqe_run(config, build_schwinger(params), ansatz, algo["starts"])
 
 
 def _run_deuteron_vqe(config: RunConfig) -> dict:
-    spec = DeuteronSpec(config.model()["level_count"])
+    spec = DeuteronSpec(**config.model())
     return _vqe_run(config, build_deuteron(spec), ucc_deuteron_ansatz(spec.level_count))
 
 
@@ -218,7 +198,7 @@ def _scan_masses(algo: dict) -> list[float]:
 def _run_phase_scan(config: RunConfig) -> dict:
     model, algo = config.model(), config.algorithm()
     masses = _scan_masses(algo)
-    template = _schwinger_params({**model, "mass": 0.0})
+    template = SchwingerParams(**model, mass=0.0)
     summary: dict = {"method": algo["method"]}
     if algo["method"] == "dense":
         order_op = staggered_density_op(model["n_sites"])
@@ -233,7 +213,7 @@ def _run_phase_scan(config: RunConfig) -> dict:
         records = phase_scan(
             masses,
             template,
-            _resource_params(model["n_sites"], algo),
+            _params(ResourceParams, algo, n_sites=model["n_sites"]),
             n_layers=algo["layers"],
             budget=algo["budget"],
             seed=config.seed,
@@ -255,8 +235,8 @@ def _run_phase_scan(config: RunConfig) -> dict:
 
 
 def _run_thirring_correlator(config: RunConfig) -> dict:
-    model, algo = config.model(), config.algorithm()
-    params = _thirring_params(model)
+    algo = config.algorithm()
+    params = ThirringParams(**config.model())
     n = params.n_sites
     h = build_thirring(params)
     psi = prepare_sector_state(
@@ -305,8 +285,8 @@ def _run_thirring_correlator(config: RunConfig) -> dict:
 
 
 def _run_hadronic_tensor(config: RunConfig) -> dict:
-    model, algo = config.model(), config.algorithm()
-    params = _thirring_params(model)
+    algo = config.algorithm()
+    params = ThirringParams(**config.model())
     n = params.n_sites
     h = build_thirring(params)
     psi = prepare_sector_state(
@@ -361,8 +341,8 @@ def _run_hadronic_tensor(config: RunConfig) -> dict:
 
 
 def _run_thermal(config: RunConfig) -> dict:
-    model, algo = config.model(), config.algorithm()
-    params = _thirring_params(model)
+    algo = config.algorithm()
+    params = ThirringParams(**config.model())
     n = params.n_sites
     h0 = build_thirring(params)
     h1 = build_thirring(
@@ -399,28 +379,13 @@ def _run_thermal(config: RunConfig) -> dict:
     }
 
 
-def _build_named_model(model: dict) -> PauliSum:
-    kind = model["model"]
-    needed = {
-        "schwinger": ("n_sites", "mass", "coupling"),
-        "thirring": ("n_sites", "mass", "coupling"),
-        "deuteron": ("level_count",),
-        "resource": ("n_sites",),
-    }[kind]
-    for key in needed:
-        if model.get(key) is None:
-            raise ConfigError(f"missing required key '{key}' in section [model]")
-    if kind == "schwinger":
-        return build_schwinger(_schwinger_params(model))
-    if kind == "thirring":
-        return build_thirring(_thirring_params(model))
-    if kind == "deuteron":
-        return build_deuteron(DeuteronSpec(model["level_count"]))
-    return build_resource_xy(_resource_params(model["n_sites"], model))
-
-
 def _run_dump_hamiltonian(config: RunConfig) -> dict:
-    h = _build_named_model(config.model())
+    model = config.model()
+    cls, build = NAMED_MODELS[model["model"]]
+    for f in fields(cls):
+        if f.default is MISSING and model[f.name] is None:
+            raise ConfigError(f"missing required key '{f.name}' in section [model]")
+    h = build(_params(cls, model))
     path = config.out / "hamiltonian.txt"
     path.write_text(serialize(h), encoding="utf-8")
     return {"files": [path], "summary": {"terms": len(h), "n_qubits": h.n_qubits}}

@@ -1,13 +1,20 @@
 """INI-style experiment configuration: sections of ``key = value`` pairs,
 UTF-8, ``#`` comments.  Every subcommand declares its schema; unknown
-sections or keys are rejected by name, as are missing required keys."""
+sections or keys are rejected by name, as are missing required keys.
+
+Model parameters are defined once, by the dataclasses in ``models``: a
+``[model]`` section takes the fields of its model's parameter class (and
+the resource fields of the VQE ansatz sit in ``[algorithm]``), read from
+``dataclasses.fields``; a field with no default is required."""
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Callable
+
+from .models import NAMED_MODELS, DeuteronSpec, ResourceParams, SchwingerParams, ThirringParams
 
 
 class ConfigError(ValueError):
@@ -31,30 +38,17 @@ class Field:
     choices: tuple | None = None
 
 
-def _model_schwinger() -> dict[str, Field]:
+def _fields_of(params, omit: tuple[str, ...] = ()) -> dict[str, Field]:
+    """The config fields of a parameter dataclass, less ``omit``: a field
+    with no default is required."""
     return {
-        "n_sites": Field(int, required=True),
-        "mass": Field(float, required=True),
-        "coupling": Field(float, required=True),
-        "spacing": Field(float, default=1.0),
-        "boundary_field": Field(float, default=0.0),
-    }
-
-
-def _model_thirring() -> dict[str, Field]:
-    return {
-        "n_sites": Field(int, required=True),
-        "mass": Field(float, required=True),
-        "coupling": Field(float, required=True),
-    }
-
-
-def _resource_fields() -> dict[str, Field]:
-    return {
-        "j0": Field(float, default=1.0),
-        "alpha": Field(float, default=1.5),
-        "b_field": Field(float, default=0.3),
-        "delta": Field(float, default=1.0),
+        f.name: Field(
+            {"int": int, "float": float}[f.type],
+            required=f.default is MISSING,
+            default=None if f.default is MISSING else f.default,
+        )
+        for f in fields(params)
+        if f.name not in omit
     }
 
 
@@ -65,7 +59,7 @@ _RUN_SECTION = {
 
 SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
     "schwinger-quench": {
-        "model": _model_schwinger(),
+        "model": _fields_of(SchwingerParams),
         "algorithm": {
             "t_max": Field(float, required=True),
             "steps": Field(int, required=True),
@@ -73,25 +67,20 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         },
     },
     "schwinger-vqe": {
-        "model": _model_schwinger(),
+        "model": _fields_of(SchwingerParams),
         "algorithm": {
             "layers": Field(int, required=True),
             "budget": Field(int, required=True),
             "starts": Field(int, default=4),
-            **_resource_fields(),
+            **_fields_of(ResourceParams, omit=("n_sites",)),
         },
     },
     "deuteron-vqe": {
-        "model": {"level_count": Field(int, required=True)},
+        "model": _fields_of(DeuteronSpec),
         "algorithm": {"budget": Field(int, default=500)},
     },
     "phase-scan": {
-        "model": {
-            "n_sites": Field(int, required=True),
-            "coupling": Field(float, required=True),
-            "spacing": Field(float, default=1.0),
-            "boundary_field": Field(float, default=0.0),
-        },
+        "model": _fields_of(SchwingerParams, omit=("mass",)),
         "algorithm": {
             "mass_min": Field(float, required=True),
             "mass_max": Field(float, required=True),
@@ -99,11 +88,11 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
             "method": Field(str, default="vqe", choices=("vqe", "dense")),
             "layers": Field(int, default=6),
             "budget": Field(int, default=2000),
-            **_resource_fields(),
+            **_fields_of(ResourceParams, omit=("n_sites",)),
         },
     },
     "thirring-correlator": {
-        "model": _model_thirring(),
+        "model": _fields_of(ThirringParams),
         "algorithm": {
             "charge": Field(int, default=0),
             "energy_rank": Field(int, default=0),
@@ -115,7 +104,7 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         },
     },
     "hadronic-tensor": {
-        "model": _model_thirring(),
+        "model": _fields_of(ThirringParams),
         "algorithm": {
             "charge": Field(int, default=3),
             "energy_rank": Field(int, default=0),
@@ -125,12 +114,12 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
             "omega_max": Field(float, required=True),
             "omega_steps": Field(int, required=True),
             "momentum": Field(float, required=True),
-            "mu": Field(int, default=0),
-            "nu": Field(int, default=0),
+            "mu": Field(int, default=0, choices=(0, 1)),
+            "nu": Field(int, default=0, choices=(0, 1)),
         },
     },
     "thermal": {
-        "model": _model_thirring(),
+        "model": _fields_of(ThirringParams),
         "algorithm": {
             "beta": Field(float, required=True),
             "threshold": Field(float, default=0.0),
@@ -147,22 +136,14 @@ SCHEMAS: dict[str, dict[str, dict[str, Field]]] = {
         },
     },
     "dump-hamiltonian": {
+        # Any kind's fields; the kind's required ones are checked once it is known.
         "model": {
-            "model": Field(
-                str,
-                required=True,
-                choices=("schwinger", "thirring", "deuteron", "resource"),
-            ),
-            "n_sites": Field(int),
-            "mass": Field(float),
-            "coupling": Field(float),
-            "spacing": Field(float, default=1.0),
-            "boundary_field": Field(float, default=0.0),
-            "level_count": Field(int),
-            "j0": Field(float, default=1.0),
-            "alpha": Field(float, default=1.5),
-            "b_field": Field(float, default=0.3),
-            "delta": Field(float, default=1.0),
+            "model": Field(str, required=True, choices=tuple(NAMED_MODELS)),
+            **{
+                key: replace(field, required=False)
+                for params, _ in NAMED_MODELS.values()
+                for key, field in _fields_of(params).items()
+            },
         },
     },
 }

@@ -73,10 +73,10 @@ class ResourceParams:
     strength of the per-qubit Z rotation generator."""
 
     n_sites: int
-    j0: float
-    alpha: float
-    b_field: float
-    delta: float
+    j0: float = 1.0
+    alpha: float = 1.5
+    b_field: float = 0.3
+    delta: float = 1.0
 
     def __post_init__(self) -> None:
         if self.n_sites < 2:
@@ -301,3 +301,12 @@ def build_resource_xy(params: ResourceParams) -> PauliSum:
     for q in range(n):
         pairs.append((params.b_field, letters_at(n, {q: "Z"})))
     return PauliSum(n, pairs)
+
+
+NAMED_MODELS = {
+    "schwinger": (SchwingerParams, build_schwinger),
+    "thirring": (ThirringParams, build_thirring),
+    "deuteron": (DeuteronSpec, build_deuteron),
+    "resource": (ResourceParams, build_resource_xy),
+}
+"""Each model kind that ``dump-hamiltonian`` writes: its parameter class and builder."""

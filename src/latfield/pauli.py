@@ -14,9 +14,11 @@ Conventions used throughout the package:
 A :class:`PauliTerm` is a canonical Pauli-group element: a real coefficient,
 a letter string, and an ``imag`` flag marking an extra folded factor ``i``
 (products of Pauli strings pick up phases in ``{1,-1,i,-i}``; the sign lives
-in the coefficient, the ``i`` in the flag).  Hermitian operators are
-represented by :class:`PauliSum` objects whose stored coefficients are all
-real with ``imag`` unset.
+in the coefficient, the ``i`` in the flag).  A string is also read as its
+``(x, z)`` masks, the qubits holding X or Y and Z or Y: ``multiply``,
+``terms_commute`` and the compiled form all work on the masks.  Hermitian
+operators are represented by :class:`PauliSum` objects whose stored
+coefficients are all real with ``imag`` unset.
 
 Every kernel reads one compiled form of a sum, its flip-mask groups.  A
 Pauli string maps basis state ``k`` to ``k ^ x`` (``x`` the mask of its X
@@ -55,30 +57,6 @@ built; ``check_dense`` is the one place it is read."""
 
 MERGE_TOLERANCE = 1e-14
 """Coefficients with magnitude below this are dropped after merging."""
-
-_SINGLE_QUBIT_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-# Single-qubit group products: (a, b) -> (a*b letter, phase exponent k with
-# a*b = i^k * letter).
-_PRODUCT_TABLE: dict[tuple[str, str], tuple[str, int]] = {}
-for _a in PAULI_LETTERS:
-    for _b in PAULI_LETTERS:
-        _m = _SINGLE_QUBIT_MATRICES[_a] @ _SINGLE_QUBIT_MATRICES[_b]
-        for _c in PAULI_LETTERS:
-            _ref = _SINGLE_QUBIT_MATRICES[_c]
-            for _k in range(4):
-                if np.allclose(_m, (1j**_k) * _ref):
-                    _PRODUCT_TABLE[(_a, _b)] = (_c, _k)
-                    break
-            else:
-                continue
-            break
-del _a, _b, _c, _k, _m, _ref
 
 
 class DimensionError(ValueError):
@@ -142,22 +120,26 @@ class PauliTerm:
 
 
 def multiply(p: PauliTerm, q: PauliTerm) -> PauliTerm:
-    """Pauli-group product ``p * q`` in canonical form."""
+    """Pauli-group product ``p * q`` in canonical form, on the ``(x, z)`` masks.
+
+    A string is ``i^y X^x Z^z`` with ``y = popcount(x & z)`` its Y count, so
+    ``p q = i^(y_p + y_q - y_pq + 2 popcount(z_p & x_q)) P(x_p ^ x_q, z_p ^ z_q)``
+    (Aaronson & Gottesman, arXiv:quant-ph/0406196)."""
     if len(p.letters) != len(q.letters):
         raise DimensionError(
             f"term lengths differ: {len(p.letters)} vs {len(q.letters)}"
         )
-    phase_power = (1 if p.imag else 0) + (1 if q.imag else 0)
-    out = []
-    for a, b in zip(p.letters, q.letters):
-        letter, k = _PRODUCT_TABLE[(a, b)]
-        out.append(letter)
-        phase_power += k
-    phase_power %= 4
+    (xp, zp), (xq, zq) = p.masks, q.masks
+    x, z = xp ^ xq, zp ^ zq
+    phase_power = (
+        p.imag + q.imag + (xp & zp).bit_count() + (xq & zq).bit_count()
+        - (x & z).bit_count() + 2 * (zp & xq).bit_count()
+    ) % 4
+    letters = "".join("IXZY"[(x >> j & 1) | (z >> j & 1) << 1] for j in range(len(p.letters)))
     coeff = p.coefficient * q.coefficient
     if phase_power in (2, 3):
         coeff = -coeff
-    return PauliTerm(coeff, "".join(out), imag=phase_power % 2 == 1)
+    return PauliTerm(coeff, letters, imag=phase_power % 2 == 1)
 
 
 def terms_commute(p: PauliTerm, q: PauliTerm) -> bool:

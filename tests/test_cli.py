@@ -10,7 +10,18 @@ import latfield
 from latfield import cli
 from latfield.cli import main
 from latfield.evolution import make_plan
-from latfield.models import SchwingerParams, bare_vacuum, build_schwinger, staggered_charge_op
+from latfield.models import (
+    DeuteronSpec,
+    ResourceParams,
+    SchwingerParams,
+    ThirringParams,
+    bare_vacuum,
+    build_deuteron,
+    build_resource_xy,
+    build_schwinger,
+    build_thirring,
+    staggered_charge_op,
+)
 from latfield.pauli import Sector, StateVector, deserialize, expectation
 
 from oracles import apply_string
@@ -363,6 +374,64 @@ momentum = 0.5
         header, rows = read_rows(out / "tensor.csv")
         assert header == ["x_or_q", "re", "im"]
         assert len(rows) == 5
+
+    @pytest.mark.parametrize(
+        "mu, nu, key", [(2, 1, "mu"), (-1, 0, "mu"), (0, 3, "nu")], ids=["2-1", "-1-0", "0-3"]
+    )
+    def test_tensor_refuses_a_current_index_past_one(self, tmp_path, capsys, mu, nu, key):
+        # 0 is the charge density, 1 the bond current; nothing else is defined.
+        ini = (
+            "[model]\nn_sites = 6\nmass = 0.5\ncoupling = 0.8\n\n[algorithm]\n"
+            "t_max = 1.0\nt_steps = 2\nomega_min = 0.0\nomega_max = 2.0\nomega_steps = 3\n"
+            f"momentum = 0.5\nmu = {mu}\nnu = {nu}\n"
+        )
+        code, out = run_cli("hadronic-tensor", ini, tmp_path, "tensor")
+        assert code == 2
+        assert f"'{key}' in [algorithm] must be one of (0, 1)" in capsys.readouterr().err
+        assert not (out / "tensor.csv").exists()
+
+
+DUMPED_MODELS = {
+    "schwinger": (
+        "n_sites = 4\nmass = -0.5\ncoupling = 1.2\nspacing = 0.5\nboundary_field = 0.25\n",
+        lambda: build_schwinger(SchwingerParams(4, -0.5, 1.2, 0.5, 0.25)),
+        "mass",
+    ),
+    "thirring": (
+        "n_sites = 5\nmass = 0.3\ncoupling = 0.7\n",
+        lambda: build_thirring(ThirringParams(5, 0.3, 0.7)),
+        "coupling",
+    ),
+    "deuteron": ("level_count = 3\n", lambda: build_deuteron(DeuteronSpec(3)), "level_count"),
+    "resource": (
+        "n_sites = 4\nalpha = 1.2\n",
+        lambda: build_resource_xy(ResourceParams(4, 1.0, 1.2, 0.3, 1.0)),
+        "n_sites",
+    ),
+}
+
+
+class TestDumpHamiltonian:
+    @pytest.mark.parametrize("kind", sorted(DUMPED_MODELS))
+    def test_written_sum_is_the_builders(self, tmp_path, kind):
+        keys, build, _ = DUMPED_MODELS[kind]
+        ini = f"[model]\nmodel = {kind}\n{keys}"
+        code, out = run_cli("dump-hamiltonian", ini, tmp_path, kind)
+        assert code == 0
+        written, expected = deserialize((out / "hamiltonian.txt").read_text()), build()
+        assert written.n_qubits == expected.n_qubits
+        assert written.items() == expected.items()
+        assert written.constant_offset == expected.constant_offset
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["summary"] == {"terms": len(expected), "n_qubits": expected.n_qubits}
+
+    @pytest.mark.parametrize("kind", sorted(DUMPED_MODELS))
+    def test_missing_required_key_names_it(self, tmp_path, capsys, kind):
+        keys, _, key = DUMPED_MODELS[kind]
+        kept = "".join(line + "\n" for line in keys.splitlines() if not line.startswith(key))
+        code, _ = run_cli("dump-hamiltonian", f"[model]\nmodel = {kind}\n{kept}", tmp_path, kind)
+        assert code == 2
+        assert f"missing required key '{key}' in section [model]" in capsys.readouterr().err
 
 
 class TestThermalCli:

@@ -209,6 +209,17 @@ class TestExactEvolve:
         assert not any(np.iscomplexobj(v) for *_, v in decomp._blocks)
         assert np.all(np.diff(decomp.eigenvalues) >= 0)
 
+    def test_symmetry_broken_above_rounding_does_not_split(self):
+        # Complement flips the sign of the 1e-12 terms and reversal keeps
+        # them: only reversal may split the block, or its eigenvalues are
+        # off by the dropped part.
+        h = PauliSum(4, [(1e-12, "IZZZ"), (2.0, "XIIX"), (2.0, "YIIY"), (1e-12, "ZZZI")])
+        sector = Sector.of_charge(4, 0)
+        decomp = SpectralDecomposition(h, sector)
+        assert len(decomp._blocks) == 2
+        expected = np.linalg.eigvalsh(sector.matrix(h))
+        np.testing.assert_allclose(decomp.eigenvalues, expected, rtol=0, atol=1e-14)
+
     def test_split_eigenvectors_equal_expanded_unit_vectors(self):
         # 10-site mass-0 Thirring chain: 1024 states in four blocks, so the
         # identity is expanded in four 256-column pieces.

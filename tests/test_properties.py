@@ -1,7 +1,8 @@
 """Property tests: the flip-mask kernels, the sector forms, sector states,
-the commutation test, the sector eigenbasis, the Lanczos propagator and the
-thermal ensemble contraction against the oracles on random Pauli sums of up
-to six qubits (eight for the sector sweeps and the propagator)."""
+the commutation test, the Pauli product, the sector eigenbasis, the Lanczos
+propagator and the thermal ensemble contraction against the oracles on
+random Pauli sums of up to six qubits (eight for the sector sweeps and the
+propagator)."""
 
 import numpy as np
 import pytest
@@ -245,6 +246,19 @@ def test_symmetric_sector_splits_and_matches_dense(data, h, t, symmetry):
 def test_terms_commute_matches_letterwise_oracle(data, n):
     a, b = (data.draw(st.text("IXYZ", min_size=n, max_size=n)) for _ in range(2))
     assert terms_commute(PauliTerm(1.0, a), PauliTerm(-0.5, b, True)) == letterwise_commute(a, b)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data(), n=st.integers(1, 4), scale=coefficients)
+def test_product_matches_dense_product(data, n, scale):
+    """The mask rule behind ``multiply``, through ``PauliSum.product``, on a
+    Hermitian and a complex-weighted sum, against the dense matrix product."""
+    a, b = (data.draw(pauli_sums(max_qubits=n, min_qubits=n)) for _ in range(2))
+    a = a * complex(1.0, scale)
+    expected = dense_sum(a) @ dense_sum(b)
+    np.testing.assert_allclose(
+        dense_sum(a.product(b)), expected, rtol=0, atol=1e-12 * max(1.0, np.abs(expected).max())
+    )
 
 
 @PROPERTY_SETTINGS
