@@ -405,7 +405,10 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> dict:
     """Execute one experiment; returns the manifest dictionary."""
-    import scipy  # here, not at module level: only its version is recorded
+    # Here, not at module level: only scipy's version and the peak RSS are read.
+    import resource
+
+    import scipy
 
     started = time.time()
     config.out.mkdir(parents=True, exist_ok=True)
@@ -427,6 +430,8 @@ def run(config: RunConfig) -> dict:
             "scipy": scipy.__version__,
         },
         "wall_time_s": round(time.time() - started, 3),
+        # The process's peak so far; Linux reports ru_maxrss in KiB.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "outputs": {
             p.name: {"path": str(p), "sha256": _sha256(p)} for p in files
         },

@@ -400,7 +400,8 @@ class PauliSum:
     def product(self, other: "PauliSum") -> "PauliSum":
         """Operator product, expanded term by term and re-canonicalized.
 
-        Hermiticity of the result is detected from the merged coefficients.
+        Hermiticity of the result is detected from the merged coefficients,
+        to rounding: an imaginary part above 1e-14 of the largest is kept.
         """
         if other.n_qubits != self.n_qubits:
             raise DimensionError("qubit counts differ")
@@ -419,7 +420,9 @@ class PauliSum:
                 acc[prod.letters] = acc.get(prod.letters, 0.0) + ca * cb * prod.value
         pairs = [(c, s) for s, c in acc.items()]
         scale = max([1.0] + [abs(c) for c, _ in pairs])
-        herm = all(abs(c.imag) <= 1e-12 * scale for c, _ in pairs)
+        # The phases are exact, so rounding stays within 45 ulp; a genuine
+        # imaginary part, even at 1e-12, is kept.
+        herm = all(abs(c.imag) <= 1e-14 * scale for c, _ in pairs)
         return PauliSum(self.n_qubits, pairs, hermitian=herm)
 
     # -- kernels -------------------------------------------------------
@@ -603,19 +606,22 @@ class Sector:
     def apply(self, h: PauliSum, amps: np.ndarray) -> np.ndarray:
         return _gather(self.compile(h), amps)
 
-    def matrix(self, h: PauliSum) -> np.ndarray:
-        """Dense matrix of ``h`` on the sector, filled one flip mask at a
-        time: ``mat[i, gather[i]] = d[i]``."""
+    def matrix(self, h: PauliSum, rows: np.ndarray | None = None, real: bool = False):
+        """Dense matrix of ``h`` on the sector, or only its ``rows`` (sector
+        positions), filled one flip mask at a time: ``mat[k, gather[rows[k]]]
+        = d[rows[k]]``.  ``real`` keeps the real parts, in a float matrix."""
         # Compile before allocating: the compiled arrays of a short-lived
         # ``h`` are then freed below the matrix, so repeated builds reuse
         # the same memory on every run.
         form = self.compile(h)
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        rows = np.arange(self.dim)
+        rows = np.arange(self.dim) if rows is None else rows
+        mat = np.zeros((rows.size, self.dim), dtype=float if real else complex)
+        at = np.arange(rows.size)
         # A row a flip mask takes out of the sector gathers from itself with
         # weight zero; the diagonal part is written last, over those zeros.
         for _, diagonal, gather in sorted(form, key=lambda group: group[2] is None):
-            mat[rows, rows if gather is None else gather] = diagonal
+            values = diagonal[rows]
+            mat[at, rows if gather is None else gather[rows]] = values.real if real else values
         return mat
 
     def _form(self, h: PauliSum):

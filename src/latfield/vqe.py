@@ -14,9 +14,11 @@ adjoint differentiation (Jones & Gacon, arXiv:2009.02823): the forward
 pass keeps each layer's output, and a backward pass carries
 ``lam = H|psi>`` back through the inverse layers, reading each layer's
 derivative on the way.  A generator layer works in its eigenbasis
-coordinates, so a 12-site energy-and-gradient evaluation of two XY layers
-costs six products with the generator's four real symmetry blocks (each
-about a tenth of a dense 924-state product) against four for the energy.
+coordinates, and the ansatz keeps its initial state's, so a 12-site
+energy-and-gradient evaluation of two XY layers costs six products with
+the generator's four real symmetry blocks (each about a tenth of a dense
+924-state product) against three for the energy.  Each layer keeps its
+forward phases, and the backward pass carries ``lam`` by their conjugates.
 
 The optimizer is scipy's L-BFGS-B on those evaluations, within a budget
 that counts energies plus gradients; a cold start at a stationary point
@@ -28,7 +30,7 @@ results reproduce exactly for a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,22 +70,29 @@ class GeneratorLayer:
     def arity(self) -> int:
         return 1
 
-    def forward(self, theta: float, amps: np.ndarray, sector: Sector):
-        """``(exp(-i theta G) amps, memo)``, where ``memo``, the output's
-        eigenbasis coordinates, is what ``backward`` needs."""
+    def forward(self, theta: float, amps: np.ndarray, sector: Sector, start: list | None = None):
+        """``(exp(-i theta G) amps, memo)``, where ``memo``, the phases
+        ``exp(-i theta w)`` and the output's eigenbasis coordinates, is what
+        ``backward`` needs.  ``start``, a list kept by the caller for one fixed
+        ``amps``, holds ``amps``'s coordinates with the decomposition they came
+        from, and they are read again while that decomposition is the one in use."""
         decomp = SpectralDecomposition.for_hamiltonian(self.generator, sector=sector)
-        coords = np.exp(-1j * theta * decomp.eigenvalues) * decomp.coordinates(amps)
-        return decomp.expand(coords), coords
+        if start is not None and (not start or start[0] is not decomp):
+            start[:] = decomp, decomp.coordinates(amps)
+        coords = decomp.coordinates(amps) if start is None else start[1]
+        phase = np.exp(-1j * theta * decomp.eigenvalues)
+        coords = phase * coords
+        return decomp.expand(coords), (phase, coords)
 
     def backward(self, theta: float, lam: np.ndarray, out: np.ndarray, memo, sector, carry):
         """``(dE/dtheta, lam before the layer, or None unless carry)`` from
         ``lam``, the adjoint state at the layer's output ``out``: the
         derivative is ``2 Im <lam|G|out>``, read in the eigenbasis, and
-        ``lam`` goes back through the inverse layer."""
+        ``lam`` goes back through the inverse layer, by the kept phases' conjugate."""
         decomp = SpectralDecomposition.for_hamiltonian(self.generator, sector=sector)
-        w, mu = decomp.eigenvalues, decomp.coordinates(lam)
-        carried = decomp.expand(np.exp(1j * theta * w) * mu) if carry else None
-        return 2.0 * np.vdot(mu, w * memo).imag, carried
+        (phase, coords), mu = memo, decomp.coordinates(lam)
+        carried = decomp.expand(np.conj(phase) * mu) if carry else None
+        return 2.0 * np.vdot(mu, decomp.eigenvalues * coords).imag, carried
 
 
 @dataclass(frozen=True)
@@ -97,24 +106,30 @@ class LocalZLayer:
     def arity(self) -> int:
         return self.n_qubits
 
-    def forward(self, thetas: np.ndarray, amps: np.ndarray, sector: Sector):
-        """As ``GeneratorLayer.forward``, with no memo."""
-        return np.exp(-1j * self.half_delta * (sector.z_values @ thetas)) * amps, None
+    def forward(self, thetas: np.ndarray, amps: np.ndarray, sector: Sector, start=None):
+        """As ``GeneratorLayer.forward``; the memo is the phase vector, and
+        ``start`` is not read."""
+        phase = np.exp(-1j * self.half_delta * (sector.z_values @ thetas))
+        return phase * amps, phase
 
     def backward(self, thetas, lam: np.ndarray, out: np.ndarray, memo, sector, carry):
         """As ``GeneratorLayer.backward``, one derivative per qubit:
         ``2 (delta/2) Im(conj(lam) out) . z_j``."""
         derivative = 2.0 * self.half_delta * (np.imag(np.conj(lam) * out) @ sector.z_values)
-        return derivative, (self.forward(-thetas, lam, sector)[0] if carry else None)
+        return derivative, (np.conj(memo) * lam if carry else None)
 
 
 @dataclass(frozen=True)
 class Ansatz:
     """Layered parameterized circuit plus its initial state, run in that
-    state's sector."""
+    state's sector.  The initial state is fixed: a new one needs a new
+    ``Ansatz``, as the first layer keeps its coordinates."""
 
     layers: tuple
     initial_state: StateVector
+    # The first layer's ``start``: the initial state's coordinates, kept with
+    # their decomposition and computed once, not on every evaluation.
+    _start: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def sector(self) -> Sector:
@@ -143,7 +158,8 @@ class Ansatz:
             chunk = values[cursor : cursor + layer.arity]
             cursor += layer.arity
             angle = chunk if layer.arity > 1 else float(chunk[0])
-            amps, memo = layer.forward(angle, amps, self.sector)
+            start = None if steps else self._start
+            amps, memo = layer.forward(angle, amps, self.sector, start)
             steps.append((layer, angle, amps, memo))
         return amps, steps
 

@@ -167,6 +167,15 @@ class TestQuench:
             digest = hashlib.sha256((out / entry["path"].split("/")[-1]).read_bytes()).hexdigest()
             assert digest == entry["sha256"]
 
+    def test_manifest_records_peak_rss(self, tmp_path):
+        import resource
+
+        code, out = run_cli("schwinger-quench", QUENCH_INI, tmp_path, "rss")
+        assert code == 0
+        peak = json.loads((out / "manifest.json").read_text())["peak_rss_mb"]
+        # The process's peak so far, in MiB: never above the peak read after.
+        assert 0 < peak <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
     def test_dump_hamiltonian_flag(self, tmp_path):
         code, out = run_cli(
             "schwinger-quench", QUENCH_INI, tmp_path, "dump", extra=["--dump-hamiltonian"]
@@ -639,9 +648,10 @@ steps = 10
 
 class TestImport:
     def test_cli_import_leaves_scipy_optimize_unloaded(self):
-        # Nor scipy itself: the manifest imports it for its version at run time.
+        # Nor scipy itself, nor resource: the manifest imports them at run
+        # time, for scipy's version and the peak RSS.
         src = os.path.dirname(os.path.dirname(latfield.__file__))
-        heavy = ("scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse")
+        heavy = ("scipy", "scipy.optimize", "scipy.linalg", "scipy.sparse", "resource")
         code = f"import sys, latfield.cli; print([m for m in {heavy!r} if m in sys.modules])"
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(

@@ -220,6 +220,39 @@ class TestExactEvolve:
         expected = np.linalg.eigvalsh(sector.matrix(h))
         np.testing.assert_allclose(decomp.eigenvalues, expected, rtol=0, atol=1e-14)
 
+    def test_off_diagonal_symmetry_breaking_does_not_split(self):
+        # Reversal swaps XXII + YYII with IIXX + IIYY, which differ by 1e-12:
+        # the break sits off the diagonal, so a test that read only the
+        # diagonals would also split by reversal, and drop it.
+        pairs = [(2.0, "XIIX"), (2.0, "YIIY"), (1.0, "XXII"), (1.0, "YYII")]
+        h = PauliSum(4, pairs + [(1 + 1e-12, "IIXX"), (1 + 1e-12, "IIYY")])
+        sector = Sector.of_charge(4, 0)
+        decomp = SpectralDecomposition(h, sector)
+        assert len(decomp._blocks) == 2
+        expected = np.linalg.eigvalsh(sector.matrix(h))
+        np.testing.assert_allclose(decomp.eigenvalues, expected, rtol=0, atol=1e-14)
+
+    def test_split_build_peak_is_set_by_the_blocks(self):
+        # The 12-site XY generator's four blocks are built from their
+        # representatives' rows of the compiled form, never as one 924 x 924
+        # block: 16 dim^2 bytes, 13.7 MB, for a complex one.
+        h = build_resource_xy(ResourceParams(12, 1.0, 1.5, 0.3, 1.0))
+        sector = Sector.of_charge(12, 0)
+        sector.compile(h)
+        tracemalloc.start()
+        try:
+            decomp = SpectralDecomposition(h, sector)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dim, sizes = sector.dim, [stop - start for start, stop, _ in decomp._blocks]
+        largest, tables = max(sizes), sum(t.nbytes for t in decomp._into + decomp._out_of)
+        # The kept real V_b; the largest block's representative rows and four
+        # arrays its size (gathered columns, their sum, the eigh input and
+        # output); the (|G|, dim) tables, with their temporaries, four times.
+        bound = 8 * sum(d * d for d in sizes) + 8 * largest * (dim + 4 * largest) + 4 * tables
+        assert peak <= bound < 16 * dim**2
+
     def test_split_eigenvectors_equal_expanded_unit_vectors(self):
         # 10-site mass-0 Thirring chain: 1024 states in four blocks, so the
         # identity is expanded in four 256-column pieces.

@@ -283,6 +283,16 @@ class TestPauliSum:
         assert sq.coefficient_of("ZZ") == pytest.approx(2.0)
         assert len(sq) == 1
 
+    def test_product_keeps_an_imaginary_part_of_1e_12(self):
+        # (1.5 + 1.5e-12 i) I times 2 I + Z: every coefficient's imaginary part
+        # is 1e-12 of its real one, which a Hermitian result would drop.
+        a = PauliSum(1, [], constant_offset=1.5) * complex(1.0, 1e-12)
+        b = PauliSum(1, [(1.0, "Z")], constant_offset=2.0)
+        product = a.product(b)
+        assert not product.hermitian
+        expected = dense_sum(a) @ dense_sum(b)
+        np.testing.assert_allclose(dense_sum(product), expected, rtol=0, atol=1e-15)
+
     def test_addition_merges(self):
         a = PauliSum(2, [(1.0, "XY")])
         b = PauliSum(2, [(-1.0, "XY"), (0.5, "ZI")])

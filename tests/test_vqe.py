@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latfield.evolution import exact_evolve
+from latfield.evolution import SpectralDecomposition, exact_evolve
 from latfield.fermions import jw_number
 from latfield.models import (
     ResourceParams,
@@ -244,6 +245,50 @@ class TestGradient:
             _, _, gradient = energy_and_gradient(h, ansatz, np.zeros(ansatz.parameter_count))
             assert gradient.shape == (ansatz.parameter_count,)
             assert not gradient.any()
+
+
+def count_passes(monkeypatch):
+    """Counts of ``coordinates`` and ``expand`` calls, each one product of
+    every eigenvector block with a vector."""
+    calls = {"coordinates": 0, "expand": 0}
+    for name in calls:
+        method = getattr(SpectralDecomposition, name)
+
+        def counted(self, x, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, x)
+
+        monkeypatch.setattr(SpectralDecomposition, name, counted)
+    return calls
+
+
+class TestEvaluationCost:
+    def test_eigenbasis_passes_per_evaluation(self, monkeypatch):
+        # 12 sites, 4 layers: two XY layers.  The initial state's coordinates
+        # are computed once per ansatz, so an evaluation pays 3 + 3 passes
+        # with the gradient and 1 + 2 without.
+        ansatz = hva_schwinger_ansatz(ResourceParams(12, 1.0, 1.5, 0.3, 1.0), 4)
+        h = build_schwinger(SchwingerParams(12, -0.7, 2.0, spacing=0.5))
+        point = np.random.default_rng(3).uniform(-1, 1, ansatz.parameter_count)
+        energy_and_gradient(h, ansatz, point)
+        calls = count_passes(monkeypatch)
+        for gradient, expected in ((True, (3, 3)), (False, (1, 2))):
+            calls.update(coordinates=0, expand=0)
+            energy_and_gradient(h, ansatz, point, gradient)
+            assert (calls["coordinates"], calls["expand"]) == expected
+
+    def test_rebuilt_eigenbasis_recomputes_the_start(self, monkeypatch):
+        # The kept coordinates belong to one decomposition: once the cache
+        # hands out a new one, they are computed again, and nothing moves.
+        ansatz = hva_schwinger_ansatz(RESOURCE4, 4)
+        h = build_schwinger(SchwingerParams(4, -0.3, 1.0))
+        point = np.random.default_rng(4).uniform(-1, 1, ansatz.parameter_count)
+        first = energy_and_gradient(h, ansatz, point)
+        monkeypatch.setattr(SpectralDecomposition, "_cache", weakref.WeakKeyDictionary())
+        calls = count_passes(monkeypatch)
+        again = energy_and_gradient(h, ansatz, point)
+        assert calls == {"coordinates": 4, "expand": 3}
+        assert first[:2] == again[:2] and first[2].tobytes() == again[2].tobytes()
 
 
 class TestOptimize:
