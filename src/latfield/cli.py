@@ -93,6 +93,23 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _at_least_one(algo: dict, key: str) -> int:
+    """``algo[key]``, refused below 1: an empty grid gives an empty or wrong result."""
+    if algo[key] < 1:
+        raise ConfigError(f"'{key}' in [algorithm] must be >= 1")
+    return algo[key]
+
+
+def _state_summary(h: PauliSum, psi) -> dict:
+    """A correlator state's energy, sector dimension and residual
+    ``|h psi - E psi|``, read from one ``Sector.apply``."""
+    amps = psi.sector_amplitudes
+    h_psi = psi.sector.apply(h, amps)
+    energy = float(np.vdot(amps, h_psi).real)
+    residual = float(np.linalg.norm(h_psi - energy * amps))
+    return {"state_energy": energy, "sector_dim": psi.sector.dim, "state_residual": residual}
+
+
 def _params(cls, section: dict, **given):
     """``cls`` from the ``section`` keys that name its fields, and ``given``."""
     return cls(**{f.name: section[f.name] for f in fields(cls) if f.name not in given}, **given)
@@ -113,9 +130,7 @@ def _run_schwinger_quench(config: RunConfig) -> dict:
     state = bare_vacuum(n).on(sector)
     plan = make_plan(h, algo["t_max"], algo["steps"])
     dt = algo["t_max"] / algo["steps"]
-    record_every = algo["record_every"]
-    if record_every < 1:
-        raise ConfigError("'record_every' in [algorithm] must be >= 1")
+    record_every = _at_least_one(algo, "record_every")
 
     def row(step: int, s) -> tuple:
         return (
@@ -236,6 +251,7 @@ def _run_phase_scan(config: RunConfig) -> dict:
 
 def _run_thirring_correlator(config: RunConfig) -> dict:
     algo = config.algorithm()
+    t_steps = _at_least_one(algo, "t_steps")
     params = ThirringParams(**config.model())
     n = params.n_sites
     h = build_thirring(params)
@@ -248,7 +264,7 @@ def _run_thirring_correlator(config: RunConfig) -> dict:
     else:
         op = charge_density(n, 0)
         positions = tuple(range(n))
-    times = tuple(np.linspace(0.0, algo["t_max"], algo["t_steps"]))
+    times = tuple(np.linspace(0.0, algo["t_max"], t_steps))
     req = CorrelatorRequest(op_a=op, op_b=op, times=times, positions=positions)
     table = two_point(h, psi, req)
     corr_path = config.out / "correlator.csv"
@@ -277,7 +293,7 @@ def _run_thirring_correlator(config: RunConfig) -> dict:
         "files": [corr_path, pdf_path],
         "hamiltonian": h,
         "summary": {
-            "state_energy": expectation(h, psi),
+            **_state_summary(h, psi),
             "pdf_time": float(times[slice_index]),
             "quadrature": spectral.metadata,
         },
@@ -286,6 +302,8 @@ def _run_thirring_correlator(config: RunConfig) -> dict:
 
 def _run_hadronic_tensor(config: RunConfig) -> dict:
     algo = config.algorithm()
+    half = _at_least_one(algo, "t_steps")
+    omega_steps = _at_least_one(algo, "omega_steps")
     params = ThirringParams(**config.model())
     n = params.n_sites
     h = build_thirring(params)
@@ -302,9 +320,8 @@ def _run_hadronic_tensor(config: RunConfig) -> dict:
         return build
 
     positions = list(range(n - 1 if (algo["mu"] == 1 or algo["nu"] == 1) else n))
-    half = algo["t_steps"]
     times = list(np.linspace(-algo["t_max"], algo["t_max"], 2 * half + 1))
-    omegas = np.linspace(algo["omega_min"], algo["omega_max"], algo["omega_steps"])
+    omegas = np.linspace(algo["omega_min"], algo["omega_max"], omega_steps)
     q_grid = [(float(w), algo["momentum"]) for w in omegas]
     table = hadronic_tensor(
         h,
@@ -334,7 +351,7 @@ def _run_hadronic_tensor(config: RunConfig) -> dict:
         "files": [path],
         "hamiltonian": h,
         "summary": {
-            "state_energy": expectation(h, psi),
+            **_state_summary(h, psi),
             "momentum": algo["momentum"],
         },
     }
@@ -342,6 +359,7 @@ def _run_hadronic_tensor(config: RunConfig) -> dict:
 
 def _run_thermal(config: RunConfig) -> dict:
     algo = config.algorithm()
+    t_steps = _at_least_one(algo, "t_steps")
     params = ThirringParams(**config.model())
     n = params.n_sites
     h0 = build_thirring(params)
@@ -355,7 +373,7 @@ def _run_thermal(config: RunConfig) -> dict:
     }[algo["observable"]]
     ts = bloch_propagate(h0, algo["beta"])
     ensemble = decompose(ts, algo["threshold"])
-    times = np.linspace(0.0, algo["t_max"], algo["t_steps"])
+    times = np.linspace(0.0, algo["t_max"], t_steps)
     rows = [
         (
             float(t),

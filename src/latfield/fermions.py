@@ -34,35 +34,3 @@ def jw_creation(j: int, n: int) -> PauliSum:
 
 def jw_annihilation(j: int, n: int) -> PauliSum:
     return jw_creation(j, n).adjoint()
-
-
-def jw_number(j: int, n: int) -> PauliSum:
-    """n_j = a_j^dag a_j = (I - Z_j)/2."""
-    _check_mode(j, n)
-    letters = "I" * j + "Z" + "I" * (n - j - 1)
-    return PauliSum(n, [(-0.5, letters)], constant_offset=0.5)
-
-
-def jw_hopping(i: int, j: int, c: float, n: int) -> PauliSum:
-    """Hermitian hopping ``c (a_i^dag a_j + a_j^dag a_i)``.
-
-    For adjacent modes this reduces to ``c/2 (X_i X_j + Y_i Y_j)``; farther
-    pairs carry the Z string in between.
-    """
-    if i == j:
-        raise ValueError("hopping needs two distinct modes")
-    _check_mode(i, n)
-    _check_mode(j, n)
-    term = jw_creation(i, n).product(jw_annihilation(j, n))
-    both = term + term.adjoint()
-    return PauliSum(n, [(c * w, s) for s, w in both.items()],
-                    constant_offset=c * both.constant_offset)
-
-
-def jw_density_density(i: int, j: int, c: float, n: int) -> PauliSum:
-    """``c n_i n_j`` expanded into I/Z/ZZ terms."""
-    if i == j:
-        raise ValueError("density-density needs two distinct modes")
-    prod = jw_number(i, n).product(jw_number(j, n))
-    return c * prod
-

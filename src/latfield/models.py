@@ -237,30 +237,6 @@ def build_thirring(params: ThirringParams) -> PauliSum:
     return PauliSum(n, pairs)
 
 
-def build_thirring_fermionic(params: ThirringParams) -> PauliSum:
-    """Thirring model assembled from second-quantized pieces via the
-    Jordan-Wigner map; dense-identical to :func:`build_thirring`.
-
-    The interaction enters as ``g^2 (n_j - 1/2)(n_{j+1} - 1/2)`` and the
-    mass as ``m (-1)^(j+1) n_j`` (constant removed), which reproduce the
-    spin form exactly.
-    """
-    from .fermions import jw_density_density, jw_hopping, jw_number
-
-    n = params.n_sites
-    g2 = params.coupling**2
-    parts = [jw_hopping(bond - 1, bond, -parity(bond) / 2.0, n) for bond in range(1, n)]
-    parts += [-params.mass * parity(site) * jw_number(site - 1, n) for site in range(1, n + 1)]
-    for bond in range(1, n):
-        parts.append(jw_density_density(bond - 1, bond, g2, n))
-        parts.append(-g2 / 2.0 * jw_number(bond - 1, n))
-        parts.append(-g2 / 2.0 * jw_number(bond, n))
-    ham = sum(parts, PauliSum(n, [], constant_offset=g2 / 4.0 * (n - 1)))
-    # Remove the mass constant so even and odd chains alike match the spin form.
-    mass_const = params.mass / 2.0 * sum(-parity(j) for j in range(1, n + 1))
-    return ham + PauliSum(n, [], constant_offset=-mass_const)
-
-
 _DEUTERON_H2: list[tuple[float, str]] = [
     (0.218291, "ZI"),
     (-6.125, "IZ"),

@@ -494,10 +494,16 @@ def _compile(h: PauliSum, indices: np.ndarray):
 
 def _gather(form, amps: np.ndarray) -> np.ndarray:
     """``sum_x d_x * amps[gather_x]`` over a compiled form (a None gather is
-    the diagonal part): the one kernel that applies an operator."""
+    the diagonal part): the one kernel that applies an operator, to a vector
+    or to a ``(dim, k)`` block of columns, whose rows ``d_x`` scales."""
     out = np.zeros_like(amps)
+    # The vector loop takes no reshape per mask: it sets small sectors' cost.
+    if amps.ndim == 1:
+        for _, diagonal, gather in form:
+            out += diagonal * (amps if gather is None else amps[gather])
+        return out
     for _, diagonal, gather in form:
-        out += diagonal * (amps if gather is None else amps[gather])
+        out += diagonal[:, None] * (amps if gather is None else amps[gather])
     return out
 
 

@@ -14,7 +14,8 @@ supplied operators and the shipped defaults (hopping-type bilinear, charge
 density, continuity-consistent bond current) are modeling choices for the
 Thirring chain.
 
-Grid points of a correlator table are independent; evaluation accumulates
+A correlator table propagates each side to every time at once, one column
+per time, and applies each operator once to the block of columns; it sums
 in fixed row/column order, so repeated runs are bit-reproducible.
 """
 
@@ -195,7 +196,7 @@ def thirring_bond_current(n_sites: int, site: int) -> PauliSum:
 class _Propagator:
     """Propagation shared by the correlators, on amplitudes of one sector:
     ``psi``'s own sector when ``h`` and every operator map it into itself,
-    the full space otherwise.  Every interval is exact through
+    the full space otherwise.  Every time is exact through
     ``evolution.propagate``, under the dense cap and over it."""
 
     def __init__(self, h: PauliSum, psi: StateVector, ops):
@@ -206,13 +207,14 @@ class _Propagator:
 
     def table(self, bra: np.ndarray, ket: np.ndarray, times, ops) -> np.ndarray:
         """<bra(t)| op |ket(t)>: one row per operator, one column per time,
-        each time evolved on from the one before (starting at 0)."""
-        out = np.empty((len(ops), len(times)), dtype=complex)
-        for col, (t_prev, t) in enumerate(zip([0.0, *times], times)):
-            bra = propagate(self.h, t - t_prev, bra, self.sector)
-            ket = propagate(self.h, t - t_prev, ket, self.sector)
-            for row, op in enumerate(ops):
-                out[row, col] = np.vdot(bra, self.sector.apply(op, ket))
+        from one ``propagate`` of each side to every time and one block
+        apply per operator."""
+        times = np.asarray(times, dtype=float)
+        bras = np.conjugate(propagate(self.h, times, bra, self.sector))
+        kets = propagate(self.h, times, ket, self.sector)
+        out = np.empty((len(ops), times.size), dtype=complex)
+        for row, op in enumerate(ops):
+            out[row] = np.einsum("it,it->t", bras, self.sector.apply(op, kets))
         return out
 
 
@@ -315,9 +317,10 @@ def hadronic_tensor(
     table = time_ordered_current_correlator(h, psi, current_a, current_b, positions, times)
     dy = float(pos[1] - pos[0]) if pos.size > 1 else 1.0
     dt = float(ts[1] - ts[0]) if ts.size > 1 else 1.0
-    out = np.empty(len(q_grid), dtype=complex)
-    for row, (omega, k) in enumerate(q_grid):
-        phases = np.exp(1j * (omega * ts[None, :] - k * pos[:, None]))
-        out[row] = dt * dy * np.sum(phases * table)
+    # exp(i (omega t - k y)) factorises: the position sums of every pair in
+    # one (pairs, positions) @ (positions, times) product, then the time sums.
+    omegas, ks = np.array(q_grid, dtype=float).reshape(-1, 2).T
+    by_pair = np.exp(-1j * np.outer(ks, pos)) @ table
+    out = dt * dy * np.einsum("qt,qt->q", np.exp(1j * np.outer(omegas, ts)), by_pair)
     meta = {"q_pairs": [(float(w), float(k)) for w, k in q_grid], "delta_y": dy, "delta_t": dt}
     return SpectralTable(grid=np.arange(len(q_grid), dtype=float), values=out.real.astype(complex), metadata=meta)

@@ -19,7 +19,6 @@ from latfield.models import (
     build_deuteron,
     build_schwinger,
     build_thirring,
-    build_thirring_fermionic,
     particle_density,
     reconstruct_efield,
     staggered_charge_op,
@@ -44,7 +43,7 @@ from latfield.vqe import (
     ucc_deuteron_ansatz,
 )
 
-from oracles import dense_sum
+from oracles import build_thirring_fermionic, dense_sum
 
 
 def finish(number: int, name: str, ok: bool, detail: str) -> None:

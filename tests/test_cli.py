@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -24,7 +25,7 @@ from latfield.models import (
 )
 from latfield.pauli import Sector, StateVector, deserialize, expectation
 
-from oracles import apply_string
+from oracles import apply_string, dense_block
 
 
 QUENCH_INI = """
@@ -362,6 +363,19 @@ p_plus = 1.0
         header, rows = read_rows(out / "pdf.csv")
         assert header == ["x_or_q", "re", "im"]
 
+    @pytest.mark.parametrize("subcommand", ["thirring-correlator", "hadronic-tensor"])
+    def test_summary_states_how_exact_the_state_is(self, tmp_path, subcommand):
+        # The 6-site chain's lowest state of charge 1: two particles, 15 states.
+        ini = CAPPED_16_SITES[subcommand].replace("n_sites = 16", "n_sites = 6")
+        code, out = run_cli(subcommand, ini + "charge = 1\n", tmp_path, "summary")
+        assert code == 0
+        summary = json.loads((out / "manifest.json").read_text())["summary"]
+        sector = Sector.of_charge(6, 1)
+        block = dense_block(build_thirring(ThirringParams(6, 0.5, 0.8)), sector.indices)
+        assert summary["sector_dim"] == sector.dim
+        assert summary["state_energy"] == pytest.approx(np.linalg.eigvalsh(block)[0], abs=1e-12)
+        assert 0.0 <= summary["state_residual"] < 1e-12
+
     def test_tensor_runs(self, tmp_path):
         ini = """
 [model]
@@ -563,6 +577,25 @@ steps = 10
         code, _ = run_cli(subcommand, ini + "trotter_steps_per_unit = 128\n", tmp_path, "key")
         assert code == 2
         assert "trotter_steps_per_unit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "subcommand, key, written",
+        [
+            ("hadronic-tensor", "t_steps", "tensor.csv"),
+            ("hadronic-tensor", "omega_steps", "tensor.csv"),
+            ("thermal", "t_steps", "thermal.csv"),
+            ("thirring-correlator", "t_steps", "correlator.csv"),
+        ],
+    )
+    def test_empty_grid_refused(self, tmp_path, capsys, subcommand, key, written):
+        # No point on a grid is a configuration error, not an empty or
+        # one-point (t = -t_max alone, delta_t = 1) result.
+        ini = CAPPED_16_SITES[subcommand].replace("n_sites = 16", "n_sites = 6")
+        ini = re.sub(rf"^{key} = \d+$", f"{key} = 0", ini, flags=re.M)
+        code, out = run_cli(subcommand, ini, tmp_path, "empty")
+        assert code == 2
+        assert f"'{key}' in [algorithm] must be >= 1" in capsys.readouterr().err
+        assert not (out / written).exists()
 
     @pytest.mark.parametrize("subcommand", sorted(CAPPED_16_SITES))
     def test_resource_cap_exit_code(self, tmp_path, capsys, subcommand):

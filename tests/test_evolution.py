@@ -176,6 +176,16 @@ class TestExactEvolve:
         out = exact_evolve(h, t, StateVector.from_bits("0" * n))
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-12)
 
+    def test_krylov_keeps_a_vector_whose_norm_underflows(self, monkeypatch):
+        # Entries of 1e-273 square to 0: the norm underflows, and dividing by
+        # it made every amplitude NaN.  The exact answer is within 1e-272.
+        h = build_thirring(ThirringParams(6, 0.5, 0.8))
+        sector = Sector.of_charge(6, 0)
+        monkeypatch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 0)
+        tiny = StateVector(np.full(sector.dim, 1e-273, dtype=complex), sector)
+        out = exact_evolve(h, 1.1, tiny).sector_amplitudes
+        assert np.isfinite(out).all() and np.abs(out).max() <= 1e-272
+
     def test_decomposition_cache_reuse(self):
         h = build_schwinger(SchwingerParams(4, 0.7, 1.0))
         first = SpectralDecomposition.for_hamiltonian(h)

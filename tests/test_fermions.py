@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from latfield.fermions import (
-    jw_annihilation,
-    jw_creation,
+from latfield.fermions import jw_annihilation, jw_creation
+from latfield.pauli import DimensionError, StateVector, expectation, to_dense
+
+from oracles import (
+    dense_sum,
+    fock_annihilation,
+    fock_creation,
     jw_density_density,
     jw_hopping,
     jw_number,
 )
-from latfield.pauli import DimensionError, StateVector, expectation, to_dense
-
-from oracles import dense_sum, fock_annihilation, fock_creation
 
 
 def anticommutator(a, b):

@@ -12,7 +12,6 @@ from latfield.models import (
     build_resource_xy,
     build_schwinger,
     build_thirring,
-    build_thirring_fermionic,
     particle_density,
     reconstruct_efield,
     staggered_charge_op,
@@ -29,7 +28,7 @@ from latfield.pauli import (
     to_dense,
 )
 
-from oracles import local_z, product_schwinger
+from oracles import build_thirring_fermionic, local_z, product_schwinger
 
 
 def commutator_norm(a, b):

@@ -1,8 +1,8 @@
 """Property tests: the flip-mask kernels, the sector forms, sector states,
 the commutation test, the Pauli product, the sector eigenbasis, the Lanczos
-propagator and the thermal ensemble contraction against the oracles on
-random Pauli sums of up to six qubits (eight for the sector sweeps and the
-propagator)."""
+propagator, the correlator tables and the thermal ensemble contraction
+against the oracles on random Pauli sums of up to six qubits (eight for the
+sector sweeps and the propagator, ten for one correlator chain)."""
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from latfield.evolution import (
     trotter_evolve,
     trotter_states,
 )
-from latfield.models import basis_charge
+from latfield.models import ThirringParams, basis_charge, build_thirring
 from latfield.pauli import (
     InvariantViolation,
     PauliSum,
@@ -30,12 +30,25 @@ from latfield.pauli import (
     terms_commute,
     to_dense,
 )
-from latfield.structure import sector_indices, sector_matrix
+from latfield.structure import (
+    CorrelatorRequest,
+    SectorSpec,
+    charge_density,
+    prepare_sector_state,
+    sector_indices,
+    sector_matrix,
+    thirring_bond_current,
+    time_ordered_current_correlator,
+    translate,
+    two_point,
+)
 from latfield.thermal import bloch_propagate, decompose, ensemble_observable
 
 from oracles import (
     compile_by_terms,
+    dense_block,
     dense_sum,
+    expm_table,
     letterwise_commute,
     random_state,
     restricted_form,
@@ -56,12 +69,12 @@ def pauli_sums(draw, max_qubits=6, max_terms=8, min_qubits=1):
 
 
 @st.composite
-def charge_conserving_sums(draw, max_qubits=6, max_terms=8, currents=False):
+def charge_conserving_sums(draw, max_qubits=6, max_terms=8, currents=False, min_qubits=2):
     """Diagonal strings plus hoppings c (X_i X_j + Y_i Y_j) on a Z background,
     which preserve the number of set bits and hence the staggered charge.
     With ``currents``, a hopping may instead be the current
     c (X_i Y_j - Y_i X_j), whose matrix elements are imaginary."""
-    n = draw(st.integers(2, max_qubits))
+    n = draw(st.integers(min_qubits, max_qubits))
     pairs = []
     for _ in range(draw(st.integers(0, max_terms))):
         background = list(draw(st.text("IZ", min_size=n, max_size=n)))
@@ -369,3 +382,86 @@ def test_ensemble_contraction_matches_superposition_oracle(data, h0, beta, t, fr
     value = ensemble_observable(ensemble, h1, observable, t)
     expected = superposition_ensemble_value(ensemble, h1, observable, t)
     assert value == pytest.approx(expected, abs=1e-12)
+
+
+def reach(op):
+    """The largest qubit any of ``op``'s strings acts on (0 for none)."""
+    acted = (j for letters, _ in op.items() for j, c in enumerate(letters) if c != "I")
+    return max(acted, default=0)
+
+
+def sector_charge(sector):
+    return basis_charge(int(sector.indices[0]), sector.n_qubits)
+
+
+@st.composite
+def correlator_cases(draw):
+    """``(h, psi, op_a, op_b)``.  Either a charge-conserving sum on up to six
+    qubits with psi a random state of a drawn charge sector, which is not an
+    eigenstate, or its eigenstate of a drawn energy rank, and charge-conserving
+    operators, ``op_a`` on the first qubits so that it translates, and
+    ``op_b`` leaking charge if drawn, so the table runs on the full space; or
+    the 10-site Thirring chain's charge-3, two-particle sector at a drawn
+    energy rank, with its charge density or bond current."""
+    if draw(st.booleans()):
+        h = build_thirring(ThirringParams(10, 0.5, 0.8))
+        psi = prepare_sector_state(h, SectorSpec(3, draw(st.integers(0, 44))))
+        op_a = draw(st.sampled_from([charge_density(10, 0), thirring_bond_current(10, 0)]))
+        return h, psi, op_a, charge_density(10, draw(st.integers(0, 9)))
+    h = draw(charge_conserving_sums(currents=True))
+    n = h.n_qubits
+    sector = Sector.of_charge(n, basis_charge(draw(st.integers(0, 2**n - 1)), n))
+    if draw(st.booleans()):
+        rank = draw(st.integers(0, sector.dim - 1))
+        psi = prepare_sector_state(h, SectorSpec(sector_charge(sector), rank))
+    else:
+        amps = draw(states(n))[sector.indices]
+        psi = StateVector(amps / np.linalg.norm(amps), sector)
+    small = draw(charge_conserving_sums(max_qubits=n, max_terms=3, currents=True))
+    op_a = PauliSum(
+        n, [(c, s + "I" * (n - small.n_qubits)) for s, c in small.items()], small.constant_offset
+    )
+    op_b = draw(charge_conserving_sums(max_qubits=n, min_qubits=n, max_terms=3, currents=True))
+    if draw(st.booleans()):
+        leak = ["I"] * n
+        leak[draw(st.integers(0, n - 1))] = draw(st.sampled_from("XY"))
+        op_b = op_b + PauliSum(n, [(draw(st.floats(0.1, 1.0)), "".join(leak))])
+    return h, psi, op_a, op_b
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=correlator_cases(),
+    start=st.floats(-3.0, 1.0),
+    step=st.floats(0.05, 1.0),
+    count=st.integers(1, 6),
+    lanczos=st.booleans(),
+)
+def test_correlator_tables_match_expm_oracle(case, start, step, count, lanczos):
+    """``two_point`` and the time-ordered correlator, under the dense rule and
+    (the cap at 0) by Lanczos, against both sides propagated by ``expm`` of
+    the dense block: the full space's on up to six qubits, exact whichever
+    space the table picks, and psi's sector block on the 10-site chain,
+    whose operators keep the charge."""
+    h, psi, op_a, op_b = case
+    n = h.n_qubits
+    positions = tuple(range(n - reach(op_a)))
+    times = tuple(start + step * np.arange(count))
+    translated = [translate(op_a, y) for y in positions]
+    indices = psi.sector.indices if n == 10 else np.arange(2**n)
+    h_block, b_block = dense_block(h, indices), dense_block(op_b, indices)
+    a_blocks = [dense_block(op, indices) for op in translated]
+    amps = psi.amplitudes[indices]
+    with pytest.MonkeyPatch.context() as patch:
+        if lanczos:
+            patch.setattr(latfield.pauli, "DENSE_QUBIT_CAP", 0)
+        table = two_point(h, psi, CorrelatorRequest(op_a, op_b, times, positions))
+        ordered = time_ordered_current_correlator(
+            h, psi, lambda y: translate(op_a, y), lambda y: op_b, positions, times
+        )
+    later = expm_table(h_block, amps, b_block @ amps, a_blocks, times)
+    earlier = expm_table(h_block, b_block.conj().T @ amps, amps, a_blocks, times)
+    np.testing.assert_allclose(table, later, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        ordered, np.where(np.asarray(times) >= 0, later, earlier), rtol=0, atol=1e-12
+    )

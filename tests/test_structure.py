@@ -48,6 +48,7 @@ from oracles import (
     dense_sum,
     form_matrix,
     free_fermion_density,
+    jw_number,
     restricted_form,
     thirring_mass_sweep,
 )
@@ -321,8 +322,6 @@ class TestTranslate:
 
 class TestTwoPoint:
     def test_equal_time_number_correlator_on_basis_state(self):
-        from latfield.fermions import jw_number
-
         h = build_thirring(ThirringParams(4, 0.5, 0.8))
         psi = StateVector.from_bits("0110")
         req = CorrelatorRequest(
@@ -448,6 +447,50 @@ class TestTwoPoint:
                 times=(0.0, 0.1, 0.5),
                 positions=(0,),
             )
+
+
+def count_table_work(monkeypatch):
+    """Counts of eigenbasis passes (``coordinates``, ``expand``) and of
+    ``Sector.apply`` calls."""
+    calls = {"coordinates": 0, "expand": 0, "apply": 0}
+    targets = [(SpectralDecomposition, "coordinates"), (SpectralDecomposition, "expand")]
+    for owner, name in targets + [(Sector, "apply")]:
+        method = getattr(owner, name)
+
+        def counted(self, *args, _method=method, _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def tensor10_state():
+    """The benchmark's hadronic-tensor chain: 10 sites, the 45-state charge-3 sector."""
+    h = build_thirring(ThirringParams(10, 0.5, 0.8))
+    return h, prepare_sector_state(h, SectorSpec(3))
+
+
+class TestTableCost:
+    def test_one_pass_per_side_and_one_apply_per_operator(self, monkeypatch):
+        # Every time at once: one coordinates and one expand per side, one
+        # apply of B_0 to psi and one block apply per position.
+        h, psi = tensor10_state()
+        op = charge_density(10, 0)
+        req = CorrelatorRequest(op, op, tuple(np.linspace(0.0, 4.0, 41)), tuple(range(10)))
+        calls = count_table_work(monkeypatch)
+        two_point(h, psi, req)
+        assert calls == {"coordinates": 2, "expand": 2, "apply": 11}
+
+    def test_time_ordered_tensor_makes_two_tables(self, monkeypatch):
+        # t >= 0 and t < 0 are one table each; J_0 and its adjoint start one side each.
+        h, psi = tensor10_state()
+        calls = count_table_work(monkeypatch)
+        hadronic_tensor(
+            h, psi, lambda y: charge_density(10, y), [(1.0, 0.5)], list(range(10)),
+            list(np.linspace(-4.0, 4.0, 81)),
+        )
+        assert calls == {"coordinates": 4, "expand": 4, "apply": 2 + 2 * 10}
 
 
 class TestPdfTransform:

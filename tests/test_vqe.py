@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latfield.evolution import SpectralDecomposition, exact_evolve
-from latfield.fermions import jw_number
 from latfield.models import (
     ResourceParams,
     SchwingerParams,
@@ -37,6 +36,7 @@ from oracles import (
     dense_sum,
     fock_annihilation,
     fock_creation,
+    jw_number,
     local_z,
 )
 
